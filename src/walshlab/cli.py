@@ -41,11 +41,14 @@ from .states import (
 from .schauder import (
     ESTIMATE,
     EXACT2,
+    MAX_EXPLICIT_LEVEL,
+    MAX_SIGN_STACK_BYTES,
     OperatorHandle,
     basis_constant_sweep,
     estimate_norm_lp,
     exact_norm_p2,
     identity_residual,
+    sign_sweep_stack_bytes,
     unconditionality_constant,
 )
 from .classical import classical_norm_estimate, classical_norm_exact2
@@ -476,7 +479,16 @@ def _cmd_verify(args, argv) -> int:
     return 0 if ok else 1
 
 
+def _check_explicit_level(level: int, flags: str) -> None:
+    if level > MAX_EXPLICIT_LEVEL:
+        raise ValueError(
+            f"{flags} = {level} exceeds {MAX_EXPLICIT_LEVEL}, the largest level "
+            f"whose superoperator is materialized"
+        )
+
+
 def _cmd_basis_constants(args, argv) -> int:
+    _check_explicit_level(args.level, "--level")
     spec = StateSpec(args.alpha, args.level)
     ctx = LpContext(args.p, spec, args.side)
     if args.method == ESTIMATE and args.seed is None:
@@ -520,6 +532,13 @@ def _cmd_basis_constants(args, argv) -> int:
 
 
 def _cmd_unconditionality(args, argv) -> int:
+    need = sign_sweep_stack_bytes(args.level, args.trials)
+    if need > MAX_SIGN_STACK_BYTES:
+        raise ValueError(
+            f"--level {args.level} with --trials {args.trials} needs a {need / 2**30:.2f} GiB "
+            f"difference stack, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit; "
+            f"lower --level or --trials"
+        )
     spec = StateSpec(args.alpha, args.level)
     report = unconditionality_constant(
         LpContext(args.p, spec),
@@ -551,6 +570,7 @@ def _cmd_unconditionality(args, argv) -> int:
 
 
 def _cmd_tensor_sweep(args, argv) -> int:
+    _check_explicit_level(args.level + args.level2, "--level + --level2")
     ctx = TensorContext(StateSpec(args.alpha, args.level), StateSpec(args.alpha2, args.level2))
     if not 0 <= args.nmax <= max_shell_index(ctx):
         raise ValueError(f"--nmax {args.nmax} out of range (max {max_shell_index(ctx)})")

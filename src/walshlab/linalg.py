@@ -1,10 +1,12 @@
 """Dense complex matrix kernel: Kronecker products, spectral routines, Schatten norms.
 
 Every matrix handled by this package is a square complex128 numpy array of
-dimension 2**m.  Tensor factor 0 is always the leftmost (major) Kronecker
-operand, so the row index of a 2**m dimensional matrix reads as an m-bit
-string with the factor-0 bit in the most significant position.  This
-convention is normative for every module that builds on this one.
+dimension 2**m; functions that say so also take a stack of such matrices, an
+array of shape (..., 2**m, 2**m), and treat the leading axes as batch axes.
+Tensor factor 0 is always the leftmost (major) Kronecker operand, so the row
+index of a 2**m dimensional matrix reads as an m-bit string with the factor-0
+bit in the most significant position.  This convention is normative for every
+module that builds on this one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ HERMITICITY_TOL = 1e-12
 __all__ = [
     "MAX_LEVEL",
     "as_matrix",
+    "as_stack",
     "level_of_dim",
     "kron",
     "dagger",
@@ -39,6 +42,14 @@ def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def as_stack(x) -> np.ndarray:
+    """Coerce to a complex128 stack of square matrices, shape (..., d, d)."""
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     return a
 
 
@@ -80,10 +91,12 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL):
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values in descending order, via eigendecomposition of x*x."""
-    x = as_matrix(x)
-    w = np.linalg.eigvalsh(x.conj().T @ x)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
+    """Singular values in descending order.
+
+    Taken from the SVD of x itself, not from the eigenvalues of x*x: squaring
+    lets the small singular values of a column-scaled matrix vanish.
+    """
+    return np.linalg.svd(as_matrix(x), compute_uv=False)
 
 
 def schatten_norm(x, p: float) -> float:
@@ -157,39 +170,46 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def _to_factor_tensor(x: np.ndarray, m: int) -> np.ndarray:
-    """Reshape a 2**m matrix into a (4,)*m tensor, axis i = (row bit, col bit) of factor i."""
-    t = x.reshape((2,) * (2 * m))
-    order = []
+    """Reshape (..., 2**m, 2**m) into (..., 4, ..., 4): trailing axis i = (row bit, col bit) of factor i."""
+    batch = x.shape[:-2]
+    b = len(batch)
+    t = x.reshape(batch + (2,) * (2 * m))
+    order = list(range(b))
     for i in range(m):
-        order += [i, m + i]
-    return t.transpose(order).reshape((4,) * m)
+        order += [b + i, b + m + i]
+    return t.transpose(order).reshape(batch + (4,) * m)
 
 
 def _from_factor_tensor(t: np.ndarray, m: int) -> np.ndarray:
-    t = t.reshape((2,) * (2 * m))
-    rows = list(range(0, 2 * m, 2))
-    cols = list(range(1, 2 * m, 2))
-    return t.transpose(rows + cols).reshape(1 << m, 1 << m)
+    batch = t.shape[: t.ndim - m]
+    b = len(batch)
+    t = t.reshape(batch + (2,) * (2 * m))
+    rows = list(range(b, b + 2 * m, 2))
+    cols = list(range(b + 1, b + 2 * m, 2))
+    return t.transpose(list(range(b)) + rows + cols).reshape(batch + (1 << m, 1 << m))
 
 
 def apply_factor_maps(x, maps: dict, m: int | None = None) -> np.ndarray:
-    """Apply 4x4 linear maps to chosen tensor factors of a 2**m matrix.
+    """Apply 4x4 linear maps to chosen tensor factors of every matrix in a stack.
 
-    ``maps`` sends factor indices to 4x4 arrays acting on the (row bit,
-    col bit) pair of that factor, ordered (00, 01, 10, 11); omitted factors
-    are left alone.  This is the shared kernel behind coefficient transforms
-    and slice/pinch channels.
+    ``x`` is one 2**m matrix or a stack of shape (..., 2**m, 2**m); the maps
+    act on each matrix and the result has the shape of ``x``.  ``maps`` sends
+    factor indices to 4x4 arrays acting on the (row bit, col bit) pair of
+    that factor, ordered (00, 01, 10, 11); omitted factors are left alone.
+    Each map is one tensordot over the whole stack.  This is the shared
+    kernel behind coefficient transforms and slice/pinch channels.
     """
-    x = as_matrix(x)
+    x = as_stack(x)
     if m is None:
-        m = level_of_dim(x.shape[0])
+        m = level_of_dim(x.shape[-1])
     if m == 0:
         return x.copy()
     t = _to_factor_tensor(x, m)
+    b = x.ndim - 2
     for j, k4 in maps.items():
         if not 0 <= j < m:
             raise ValueError(f"factor index {j} out of range for m={m}")
-        t = np.moveaxis(np.tensordot(np.asarray(k4, dtype=np.complex128), t, axes=(1, j)), 0, j)
+        t = np.moveaxis(np.tensordot(np.asarray(k4, dtype=np.complex128), t, axes=(1, b + j)), 0, b + j)
     return _from_factor_tensor(t, m)
 
 

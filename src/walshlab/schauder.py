@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     as_matrix,
+    as_stack,
     gaussian_matrix,
     level_of_dim,
     schatten_norm,
@@ -37,16 +38,26 @@ from .states import (
 from .walsh import PAPER, binary_digits, system_coefficients, system_synthesize, walsh_matrix
 
 MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
+# The sign sweep holds every martingale difference of every probe at once;
+# refuse sweeps whose difference stack would outgrow this many bytes.
+MAX_SIGN_STACK_BYTES = 1 << 30
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
 
 
+def matrix_unit_stack(dim: int) -> np.ndarray:
+    """All dim**2 matrix units as a (dim**2, dim, dim) stack, row-major order."""
+    return np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)
+
+
 class OperatorHandle:
     """Composable linear map on the 4**m dimensional space of 2**m matrices.
 
-    Wraps a matrix-to-matrix callable; ``matrix()`` materializes the action in
-    the matrix-unit basis (row-major vec convention) for levels m <= 4.
+    Wraps a callable that maps a (..., d, d) stack matrix by matrix; calling
+    the handle on one matrix or on a stack gives the image of each.
+    ``matrix()`` materializes the action in the matrix-unit basis (row-major
+    vec convention) for levels m <= 4.
     """
 
     def __init__(self, dim: int, fn, label: str = ""):
@@ -56,7 +67,7 @@ class OperatorHandle:
         self._matrix = None
 
     def __call__(self, x) -> np.ndarray:
-        return self._fn(as_matrix(x))
+        return self._fn(as_stack(x))
 
     def __matmul__(self, other: "OperatorHandle") -> "OperatorHandle":
         if self.dim != other.dim:
@@ -92,7 +103,9 @@ class OperatorHandle:
         dim = int(round(math.isqrt(mat.shape[0])))
         if mat.shape != (dim * dim, dim * dim):
             raise ValueError(f"superoperator shape {mat.shape} is not (d^2, d^2)")
-        handle = cls(dim, lambda x: (mat @ x.ravel()).reshape(dim, dim), label)
+        handle = cls(
+            dim, lambda x: (x.reshape(x.shape[:-2] + (dim * dim,)) @ mat.T).reshape(x.shape), label
+        )
         handle._matrix = mat
         return handle
 
@@ -105,13 +118,8 @@ class OperatorHandle:
                     f"refusing to materialize a superoperator at level {m} > {MAX_EXPLICIT_LEVEL}"
                 )
             d2 = self.dim * self.dim
-            cols = np.empty((d2, d2), dtype=np.complex128)
-            probe = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            for k in range(d2):
-                probe.flat[k] = 1.0
-                cols[:, k] = self(probe).ravel()
-                probe.flat[k] = 0.0
-            self._matrix = cols
+            # Row k of the image stack is column k: the image of matrix unit k.
+            self._matrix = self(matrix_unit_stack(self.dim)).reshape(d2, d2).T.copy()
         return self._matrix
 
 
@@ -170,13 +178,13 @@ def right_mult_handle(w) -> OperatorHandle:
 
 
 def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
-    """Keep expansion coefficients 0..n of x and resynthesize."""
-    x = as_matrix(x)
-    m = level_of_dim(x.shape[0])
+    """Keep expansion coefficients 0..n of x (or of each matrix in a stack) and resynthesize."""
+    x = as_stack(x)
+    m = level_of_dim(x.shape[-1])
     if not 0 <= n < 4**m:
         raise ValueError(f"partial-sum index {n} out of range for level m={m}")
     c = system_coefficients(x, alpha, mode)
-    c[n + 1 :] = 0.0
+    c[..., n + 1 :] = 0.0
     return system_synthesize(c, m, alpha, mode)
 
 
@@ -185,15 +193,18 @@ def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) ->
 
 
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
-    """Sum of martingale differences over ``steps``; -1 adds the rho(x)*I term."""
-    x = as_matrix(x)
+    """Sum of martingale differences over ``steps``; -1 adds the rho(x)*I term.
+
+    Acts on one matrix or matrix by matrix on a stack.
+    """
+    x = as_stack(x)
     steps = sorted(set(int(s) for s in steps))
     if any(s < -1 or s > 2 * spec.m - 1 for s in steps):
         raise ValueError(f"subset members must lie in [-1, {2 * spec.m - 1}], got {steps}")
     out = np.zeros_like(x)
     for s in steps:
         if s == -1:
-            out += rho_value(x, spec) * np.eye(spec.dim, dtype=np.complex128)
+            out += cond_expect(x, -1, spec)
         else:
             out += mart_diff(x, s, spec)
     return out
@@ -486,6 +497,11 @@ def _sign_patterns(count: int) -> np.ndarray:
     return patterns
 
 
+def sign_sweep_stack_bytes(m: int, trials: int) -> int:
+    """Bytes of the sign sweep's difference stack: 2m steps of 2*4**m + trials probes."""
+    return 2 * m * (2 * 4**m + trials) * 4**m * np.dtype(np.complex128).itemsize
+
+
 def unconditionality_constant(
     ctx: LpContext,
     mode: str = "exhaustive",
@@ -506,6 +522,12 @@ def unconditionality_constant(
         raise ValueError(f"unknown sweep mode {mode!r}")
     spec = ctx.state
     steps = 2 * spec.m
+    need = sign_sweep_stack_bytes(spec.m, trials)
+    if need > MAX_SIGN_STACK_BYTES:
+        raise ValueError(
+            f"sign sweep at level {spec.m} with {trials} trials needs a {need / 2**30:.2f} GiB "
+            f"difference stack, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit"
+        )
     if mode == "exhaustive":
         if steps > 12:
             raise ValueError("exhaustive sign sweep requires 2m <= 12")
@@ -516,26 +538,31 @@ def unconditionality_constant(
         patterns[0, :] = 1.0  # keep the all-plus pattern in the sample
 
     d = spec.dim
-    probes = [walsh_matrix(n, spec.m) for n in range(4**spec.m)]
-    for r in range(d):
-        for c in range(d):
-            unit = np.zeros((d, d), dtype=np.complex128)
-            unit[r, c] = 1.0
-            probes.append(unit)
-    for k in range(trials):
-        probes.append(gaussian_matrix(d, task_rng(seed, k)))
-    xs = np.stack(probes)
+    xs = np.concatenate(
+        [
+            np.stack([walsh_matrix(n, spec.m) for n in range(4**spec.m)]),
+            matrix_unit_stack(d),
+            np.stack([gaussian_matrix(d, task_rng(seed, k)) for k in range(trials)]),
+        ]
+    )
 
     weights = state_diagonal(spec)
     base_norms = batched_weighted_lp_norm(xs, weights, ctx.p, ctx.side)
     keep = base_norms > 1e-12
     xs, base_norms = xs[keep], base_norms[keep]
 
-    mean_part = np.einsum("kii,i->k", xs, weights)[:, None, None] * np.eye(d)
-    diff_parts = np.stack([np.stack([mart_diff(x, s, spec) for x in xs]) for s in range(steps)])
+    # D_s = E_s - E_{s-1}, one kernel call per step on the whole probe stack;
+    # only the previous level is kept alive next to the difference stack.
+    mean_part = cond_expect(xs, -1, spec)
+    diff_parts = np.empty((steps,) + xs.shape, dtype=np.complex128)
+    previous = mean_part
+    for s in range(steps):
+        current = cond_expect(xs, s, spec)
+        np.subtract(current, previous, out=diff_parts[s])
+        previous = current
 
     def chunk_maxima(block: np.ndarray) -> np.ndarray:
-        combined = mean_part[None, :, :, :] + np.einsum("ks,spij->kpij", block, diff_parts)
+        combined = mean_part[None, :, :, :] + np.tensordot(block, diff_parts, axes=(1, 0))
         norms = batched_weighted_lp_norm(
             combined.reshape(-1, d, d), weights, ctx.p, ctx.side
         ).reshape(block.shape[0], -1)

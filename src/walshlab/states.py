@@ -7,6 +7,9 @@ tensor factors in full; step 2t additionally admits the diagonal of factor t.
 The state-preserving expectation onto step s therefore slices every factor
 beyond the kept range with the one-factor state and, at even s, pinches
 factor s/2 to its diagonal.
+
+``rho_value``, ``cond_expect`` and ``mart_diff`` act on one matrix or on a
+stack of shape (..., 2**m, 2**m), matrix by matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .linalg import (
     MAX_LEVEL,
     apply_factor_maps,
     as_matrix,
-    level_of_dim,
+    as_stack,
     schatten_norm,
 )
 
@@ -97,12 +100,16 @@ def state_density(spec: StateSpec) -> np.ndarray:
     return np.diag(state_diagonal(spec)).astype(np.complex128)
 
 
-def rho_value(x, spec: StateSpec) -> complex:
-    """State value Tr(x A)."""
-    x = as_matrix(x)
-    if x.shape[0] != spec.dim:
-        raise ValueError(f"matrix dimension {x.shape[0]} does not match level m={spec.m}")
-    return complex(np.diag(x) @ state_diagonal(spec))
+def _check_dim(x: np.ndarray, spec: StateSpec) -> None:
+    if x.shape[-1] != spec.dim:
+        raise ValueError(f"matrix dimension {x.shape[-1]} does not match level m={spec.m}")
+
+
+def rho_value(x, spec: StateSpec):
+    """State value Tr(x A): a complex scalar for one matrix, shape (...) for a stack."""
+    x = as_stack(x)
+    _check_dim(x, spec)
+    return np.diagonal(x, axis1=-2, axis2=-1) @ state_diagonal(spec)
 
 
 def weighted_lp_norm(x, weights: np.ndarray, p: float, side: str = LEFT) -> float:
@@ -158,11 +165,13 @@ def modular_flow(x, t: float, spec: StateSpec) -> np.ndarray:
     return x * np.outer(phase, phase.conj())
 
 
-def _expectation_maps(s: int, spec: StateSpec) -> dict[int, np.ndarray]:
+def _expectation_maps(s: int, spec: StateSpec, offset: int = 0) -> dict[int, np.ndarray]:
+    """Factor maps of the expectation onto step s, for a state placed at factors offset.."""
     kept = (s + 1 + 1) // 2  # ceil((s+1)/2): factors 0..kept-1 stay untouched
-    maps: dict[int, np.ndarray] = {j: slice_kernel(spec.alpha) for j in range(kept, spec.m)}
+    kernel = slice_kernel(spec.alpha)
+    maps: dict[int, np.ndarray] = {offset + j: kernel for j in range(kept, spec.m)}
     if s % 2 == 0:
-        maps[s // 2] = PINCH_KERNEL
+        maps[offset + s // 2] = PINCH_KERNEL
     return maps
 
 
@@ -170,15 +179,15 @@ def cond_expect(x, s: int, spec: StateSpec) -> np.ndarray:
     """State-preserving conditional expectation onto filtration step s.
 
     s = -1 collapses to rho(x) * I; s = 2m - 1 is the identity.  The output
-    is re-embedded at the full ambient dimension.
+    is re-embedded at the full ambient dimension.  A stack maps matrix by
+    matrix in one kernel call.
     """
-    x = as_matrix(x)
-    if x.shape[0] != spec.dim:
-        raise ValueError(f"matrix dimension {x.shape[0]} does not match level m={spec.m}")
+    x = as_stack(x)
+    _check_dim(x, spec)
     if not -1 <= s <= 2 * spec.m - 1:
         raise ValueError(f"filtration step {s} out of range [-1, {2 * spec.m - 1}]")
     if s == -1:
-        return rho_value(x, spec) * np.eye(spec.dim, dtype=np.complex128)
+        return rho_value(x, spec)[..., None, None] * np.eye(spec.dim, dtype=np.complex128)
     if s == 2 * spec.m - 1:
         return x.copy()
     return apply_factor_maps(x, _expectation_maps(s, spec), spec.m)

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_factor_maps, as_matrix, kron, level_of_dim
+from .linalg import apply_factor_maps, as_matrix, as_stack, kron
 from .states import (
     LEFT,
     StateSpec,
+    _expectation_maps,
     slice_kernel,
     state_diagonal,
     weighted_lp_norm,
 )
-from .states import PINCH_KERNEL
 from .walsh import binary_digits, walsh_coefficients, walsh_matrix, walsh_synthesize
 
 
@@ -83,16 +83,18 @@ def double_walsh(n: int, ctx: TensorContext) -> np.ndarray:
 
 
 def joint_coefficients(x, ctx: TensorContext) -> np.ndarray:
-    """Expansion coefficients over pairs, shaped (4**m2, 4**m1), entry [j, i]."""
-    x = as_matrix(x)
-    if x.shape[0] != ctx.dim:
-        raise ValueError(f"matrix dimension {x.shape[0]} does not match context dim {ctx.dim}")
+    """Expansion coefficients over pairs, shaped (..., 4**m2, 4**m1), entry [..., j, i]."""
+    x = as_stack(x)
+    if x.shape[-1] != ctx.dim:
+        raise ValueError(f"matrix dimension {x.shape[-1]} does not match context dim {ctx.dim}")
     flat = walsh_coefficients(x)
-    return flat.reshape(4**ctx.second.m, 4**ctx.first.m)
+    return flat.reshape(x.shape[:-2] + (4**ctx.second.m, 4**ctx.first.m))
 
 
 def joint_synthesize(coeffs: np.ndarray, ctx: TensorContext) -> np.ndarray:
-    return walsh_synthesize(np.asarray(coeffs).ravel(), ctx.level)
+    """Inverse of joint_coefficients."""
+    coeffs = np.asarray(coeffs)
+    return walsh_synthesize(coeffs.reshape(coeffs.shape[:-2] + (-1,)), ctx.level)
 
 
 def _block_slices(ctx: TensorContext, side: str) -> dict[int, np.ndarray]:
@@ -163,17 +165,17 @@ def second_truncation(x, s: int, ctx: TensorContext) -> np.ndarray:
 
 
 def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
-    """Keep the joint coefficients at shell positions 0..n."""
+    """Keep the joint coefficients at shell positions 0..n, matrix by matrix on a stack."""
     if not 0 <= n <= max_shell_index(ctx):
         raise ValueError(f"shell position {n} out of range for context (max {max_shell_index(ctx)})")
     coeffs = joint_coefficients(x, ctx)
-    kept = np.zeros_like(coeffs)
     imax, jmax = 4**ctx.first.m, 4**ctx.second.m
+    mask = np.zeros((jmax, imax), dtype=bool)
     for k in range(n + 1):
         i, j = shell_pair(k)
         if i < imax and j < jmax:
-            kept[j, i] = coeffs[j, i]
-    return joint_synthesize(kept, ctx)
+            mask[j, i] = True
+    return joint_synthesize(np.where(mask, coeffs, 0.0), ctx)
 
 
 def second_cond_expect(x, s: int, ctx: TensorContext) -> np.ndarray:
@@ -182,16 +184,8 @@ def second_cond_expect(x, s: int, ctx: TensorContext) -> np.ndarray:
     m2 = ctx.second.m
     if not -1 <= s <= 2 * m2 - 1:
         raise ValueError(f"filtration step {s} out of range [-1, {2 * m2 - 1}]")
-    if s == -1:
-        return factor_expectation(x, "first", ctx)
-    kept = (s + 2) // 2
-    kernel = slice_kernel(ctx.second.alpha)
-    maps: dict[int, np.ndarray] = {
-        ctx.first.m + t: kernel for t in range(kept, m2)
-    }
-    if s % 2 == 0:
-        maps[ctx.first.m + s // 2] = PINCH_KERNEL
-    return apply_factor_maps(x, maps, ctx.level)
+    # At s = -1 the maps slice the whole second block: the expectation onto the first.
+    return apply_factor_maps(x, _expectation_maps(s, ctx.second, offset=ctx.first.m), ctx.level)
 
 
 def second_mart_diff(x, s: int, ctx: TensorContext) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Matrix Walsh system: 2x2 generators, tensor Walsh matrices, sign relations,
-and the fast transform between matrices and coefficient arrays.
+and the fast transform between matrices and coefficient arrays.  The transforms
+map a (..., 2**m, 2**m) stack to (..., 4**m) coefficients and back.
 
 Indexing: a Walsh index n < 4**m decomposes into binary digits
 n = sum gamma_i 2**i; the pair (gamma_{2i}, gamma_{2i+1}) selects the 2x2
@@ -16,6 +17,7 @@ from .linalg import (
     _to_factor_tensor,
     apply_factor_maps,
     as_matrix,
+    as_stack,
     dagger,
     kron,
     level_of_dim,
@@ -182,24 +184,41 @@ def block_support(s: int) -> tuple[int, int]:
     return 1 << s, 1 << (s + 1)
 
 
-def _coefficient_order(m: int) -> tuple[int, ...]:
+def _coefficient_order(m: int, batch: int = 0) -> tuple[int, ...]:
     # factor-tensor axis i carries q_i; the flat slot is n = sum q_i 4**i,
-    # so q_0 must vary fastest and the axes are flattened in reverse.
-    return tuple(reversed(range(m)))
+    # so q_0 must vary fastest and the factor axes are flattened in reverse.
+    # The permutation is its own inverse; leading batch axes stay in place.
+    return tuple(range(batch)) + tuple(batch + i for i in reversed(range(m)))
+
+
+def _analyse(x, kernel: np.ndarray) -> np.ndarray:
+    """Coefficients of each matrix in a (..., 2**m, 2**m) stack, shape (..., 4**m)."""
+    x = as_stack(x)
+    m = level_of_dim(x.shape[-1])
+    batch = x.shape[:-2]
+    y = apply_factor_maps(x, {j: kernel for j in range(m)}, m)
+    # apply_factor_maps returns matrix layout; re-read it as the coefficient tensor.
+    t = _to_factor_tensor(y, m).transpose(_coefficient_order(m, len(batch)))
+    return np.ascontiguousarray(t).reshape(batch + (4**m,))
+
+
+def _synthesize(c, m: int, kernel: np.ndarray) -> np.ndarray:
+    """Inverse of _analyse: a (..., 4**m) coefficient stack to (..., 2**m, 2**m)."""
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim == 0 or c.shape[-1] != 4**m:
+        raise ValueError(f"expected {4 ** m} coefficients for level m={m}, got shape {c.shape}")
+    batch = c.shape[:-1]
+    t = c.reshape(batch + (4,) * m).transpose(_coefficient_order(m, len(batch)))
+    y = _from_factor_tensor(t, m)
+    return apply_factor_maps(y, {j: kernel for j in range(m)}, m)
 
 
 def walsh_coefficients(x) -> np.ndarray:
-    """Coefficients c_n = 2**(-m) Tr(w_n* x) via per-factor 4x4 passes."""
-    x = as_matrix(x)
-    m = level_of_dim(x.shape[0])
-    y = apply_factor_maps(x, {j: ANALYSIS_KERNEL for j in range(m)}, m)
-    return _read_coefficients(y, m)
+    """Coefficients c_n = 2**(-m) Tr(w_n* x) via per-factor 4x4 passes.
 
-
-def _read_coefficients(y: np.ndarray, m: int) -> np.ndarray:
-    # apply_factor_maps returns matrix layout; re-read it as the coefficient tensor.
-    t = _to_factor_tensor(y, m)
-    return np.ascontiguousarray(t.transpose(_coefficient_order(m))).ravel()
+    A (..., 2**m, 2**m) stack gives a (..., 4**m) coefficient stack.
+    """
+    return _analyse(x, ANALYSIS_KERNEL)
 
 
 def walsh_coefficients_naive(x) -> np.ndarray:
@@ -215,46 +234,27 @@ def walsh_coefficients_naive(x) -> np.ndarray:
 
 
 def walsh_synthesize(c, m: int) -> np.ndarray:
-    """Rebuild sum_n c_n w_n from a coefficient array of length 4**m."""
-    c = np.asarray(c, dtype=np.complex128).ravel()
-    if c.shape[0] != 4**m:
-        raise ValueError(f"expected {4 ** m} coefficients for level m={m}, got {c.shape[0]}")
-    t = c.reshape((4,) * m).transpose(_coefficient_order(m))
-    y = _from_factor_tensor(t, m)
-    return apply_factor_maps(y, {j: SYNTHESIS_KERNEL for j in range(m)}, m)
+    """Rebuild sum_n c_n w_n from coefficients of shape (..., 4**m)."""
+    return _synthesize(c, m, SYNTHESIS_KERNEL)
 
 
-def _mode_kernels(alpha: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    _check_mode(mode)
-    if mode == PAPER:
-        return ANALYSIS_KERNEL, SYNTHESIS_KERNEL
-    blocks = generator_blocks(alpha, mode)
-    synth = np.column_stack([b.reshape(4) for b in blocks])
+def _meanzero_kernels(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    synth = np.column_stack([b.reshape(4) for b in generator_blocks(alpha, MEANZERO)])
     return np.linalg.inv(synth), synth
 
 
 def system_coefficients(x, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
-    """Expansion coefficients of x against the level-m system in the given mode."""
-    if mode == PAPER:
+    """Expansion coefficients of x (or a stack) against the level-m system in the given mode."""
+    if _check_mode(mode) == PAPER:
         return walsh_coefficients(x)
-    x = as_matrix(x)
-    m = level_of_dim(x.shape[0])
-    analysis, _ = _mode_kernels(alpha, mode)
-    y = apply_factor_maps(x, {j: analysis for j in range(m)}, m)
-    return _read_coefficients(y, m)
+    return _analyse(x, _meanzero_kernels(alpha)[0])
 
 
 def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Inverse of system_coefficients for the same (alpha, mode)."""
-    if mode == PAPER:
+    if _check_mode(mode) == PAPER:
         return walsh_synthesize(c, m)
-    c = np.asarray(c, dtype=np.complex128).ravel()
-    if c.shape[0] != 4**m:
-        raise ValueError(f"expected {4 ** m} coefficients for level m={m}, got {c.shape[0]}")
-    _, synth = _mode_kernels(alpha, mode)
-    t = c.reshape((4,) * m).transpose(_coefficient_order(m))
-    y = _from_factor_tensor(t, m)
-    return apply_factor_maps(y, {j: synth for j in range(m)}, m)
+    return _synthesize(c, m, _meanzero_kernels(alpha)[1])
 
 
 def coefficients_to_json(c, m: int) -> dict:

@@ -37,3 +37,29 @@ def naive_gram_coefficients(x: np.ndarray, m: int) -> np.ndarray:
         w = walsh_matrix(n, m)
         out[n] = np.trace(dagger(w) @ x) / (1 << m)
     return out
+
+
+def probe_matrix(handle) -> np.ndarray:
+    """Materialisation oracle: apply the handle to one matrix unit at a time.
+
+    Column k is the image of matrix unit k (row-major vec convention), as in
+    ``OperatorHandle.matrix``, which maps all units in one stacked call.
+    """
+    d2 = handle.dim * handle.dim
+    cols = np.empty((d2, d2), dtype=np.complex128)
+    for k, unit in enumerate(matrix_units(handle.dim)):
+        cols[:, k] = handle(unit).ravel()
+    return cols
+
+
+def factor_map_oracle(x: np.ndarray, maps: dict, m: int) -> np.ndarray:
+    """Independent factor-map reference on one matrix, in the (2,)*2m bit layout.
+
+    Axis j is the row bit and axis m + j the column bit of factor j; a 4x4 map
+    indexed (2*row bit + col bit) is a (2, 2, 2, 2) tensor on that axis pair.
+    """
+    t = np.asarray(x, dtype=np.complex128).reshape((2,) * (2 * m))
+    for j, k4 in maps.items():
+        k = np.asarray(k4, dtype=np.complex128).reshape(2, 2, 2, 2)
+        t = np.moveaxis(np.tensordot(k, t, axes=([2, 3], [j, m + j])), [0, 1], [j, m + j])
+    return t.reshape(1 << m, 1 << m)

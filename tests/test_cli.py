@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from walshlab import cli
 from walshlab.cli import BASIS_HEADER, SIGN_HEADER, TENSOR_HEADER, fmt, run_command
 from walshlab.linalg import matrix_from_json
 
@@ -192,3 +194,47 @@ def test_fmt_17_digits():
     assert fmt(1.0) == "1"
     assert fmt(float("inf")) == "inf"
     assert fmt(True) == "true"
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the command started work it should have refused")
+
+
+def test_basis_constants_refuses_level_above_explicit_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "basis_constant_sweep", _refuse_work)
+    for method in ("exact2", "estimate"):
+        code, _, err = run(
+            capsys, "basis-constants", "--level", "5", "--alpha", "0.3", "--p", "2",
+            "--method", method, "--seed", "1", "--out", str(tmp_path / "bc.csv"),
+        )
+        assert code == 2
+        assert "--level" in err
+    assert not (tmp_path / "bc.csv").exists()
+
+
+def test_tensor_sweep_refuses_joint_level_above_explicit_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exact_norm_p2", _refuse_work)
+    code, _, err = run(
+        capsys, "tensor-sweep", "--level", "3", "--level2", "2", "--alpha", "0.3",
+        "--alpha2", "0.1", "--p", "2", "--nmax", "1", "--out", str(tmp_path / "ts.csv"),
+    )
+    assert code == 2
+    assert "--level" in err and "--level2" in err
+    assert not (tmp_path / "ts.csv").exists()
+
+
+def test_unconditionality_refuses_oversized_difference_stack(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "unconditionality_constant", _refuse_work)
+    tracemalloc.start()
+    try:
+        code, _, err = run(
+            capsys, "unconditionality", "--level", "6", "--alpha", "0.3", "--p", "3",
+            "--mode", "sampled", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "uc.csv"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "--level" in err and "--trials" in err
+    assert peak < 1 << 20
+    assert not (tmp_path / "uc.csv").exists()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_matrix, random_psd
+from helpers import factor_map_oracle, random_matrix, random_psd
 from walshlab.linalg import (
+    apply_factor_maps,
     dagger,
     gns_inner,
     hermitian_eig,
@@ -18,6 +19,7 @@ from walshlab.linalg import (
     schatten_norm,
     singular_values,
 )
+from walshlab.states import StateSpec, state_diagonal
 from walshlab.walsh import walsh_matrix
 
 I2 = np.eye(2)
@@ -182,3 +184,56 @@ def test_matrix_json_round_trip_bit_identical(seed, m):
     payload = json.dumps(matrix_to_json(x))
     back = matrix_from_json(json.loads(payload))
     assert np.array_equal(back, x)
+
+
+def test_singular_values_of_weighted_walsh_matrix():
+    spec = StateSpec(0.02, 6)
+    w = state_diagonal(spec)
+    expected = np.sort(w)[::-1]
+    for n in (1, 6, 77, 4095):
+        s = singular_values(walsh_matrix(n, 6) * w[None, :])
+        assert np.max(np.abs(s - expected) / expected) <= 1e-12, n
+
+
+def test_singular_values_keep_small_values_of_column_scaled_unitary():
+    # x = H diag(w) with H a real orthogonal Hadamard matrix: the singular
+    # values are w, down to 6.4e-11.  Through the eigenvalues of x*x every
+    # value below about 1e-8 came back as 0.
+    w = state_diagonal(StateSpec(0.02, 6))
+    h = np.array([[1.0]])
+    for _ in range(6):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    s = singular_values(h * w[None, :])
+    expected = np.sort(w)[::-1]
+    assert np.max(np.abs(s - expected) / expected) <= 1e-7
+
+
+def _random_maps(rng, m):
+    factors = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+    return {int(j): rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for j in factors}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_apply_factor_maps_stack_equals_per_matrix_loop(m):
+    rng = np.random.default_rng(100 + m)
+    batch = (2, 3) if m <= 5 else (2,)
+    d = 1 << m
+    xs = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
+    for _ in range(3):
+        maps = _random_maps(rng, m)
+        stacked = apply_factor_maps(xs, maps, m)
+        assert stacked.shape == xs.shape
+        flat = xs.reshape(-1, d, d)
+        loop = np.stack([apply_factor_maps(x, maps, m) for x in flat]).reshape(xs.shape)
+        scale = np.max(np.abs(loop))
+        assert np.max(np.abs(stacked - loop)) <= 1e-15 * scale
+        if m <= 4:
+            oracle = np.stack([factor_map_oracle(x, maps, m) for x in flat]).reshape(xs.shape)
+            assert np.max(np.abs(stacked - oracle)) <= 1e-13 * scale
+
+
+def test_apply_factor_maps_rejects_bad_input():
+    with pytest.raises(ValueError):
+        apply_factor_maps(np.eye(4), {2: np.eye(4)})
+    with pytest.raises(ValueError):
+        apply_factor_maps(np.zeros((3, 4, 2)), {0: np.eye(4)})

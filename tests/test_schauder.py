@@ -1,14 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_matrix
+from helpers import matrix_units, probe_matrix, random_matrix
 from walshlab.linalg import gaussian_matrix, task_rng
-from walshlab.states import LpContext, StateSpec, cond_expect, lp_norm, state_diagonal
+from walshlab.states import (
+    LpContext,
+    StateSpec,
+    cond_expect,
+    lp_norm,
+    mart_diff,
+    rho_value,
+    state_diagonal,
+)
 from walshlab.schauder import (
     ESTIMATE,
     EXACT2,
+    MAX_SIGN_STACK_BYTES,
     OperatorHandle,
     basis_constant_row,
     basis_constant_sweep,
@@ -20,10 +31,12 @@ from walshlab.schauder import (
     mart_diff_handle,
     partial_sum,
     partial_sum_handle,
+    sign_sweep_stack_bytes,
     subset_projection,
     subset_projection_handle,
     unconditionality_constant,
 )
+from walshlab.tensor import TensorContext, max_shell_index, tensor_partial_sum
 from walshlab.walsh import MEANZERO, walsh_matrix
 
 W = walsh_matrix
@@ -312,3 +325,99 @@ def test_basis_constant_row_validation():
         basis_constant_row(ctx, 0, method=EXACT2)  # exact2 needs p = 2
     with pytest.raises(ValueError):
         basis_constant_row(LpContext(2.0, StateSpec(0.3, 1)), 4, method=EXACT2)
+
+
+def _handles_at(m):
+    spec = StateSpec(0.3, m)
+    last = 4**m - 1
+    yield f"P[paper] m={m}", partial_sum_handle(min(5, last), m, 0.3)
+    yield f"P[meanzero] m={m}", partial_sum_handle(min(6, last), m, 0.3, MEANZERO)
+    yield f"decomposition m={m}", decomposition_handle(min(11, last), spec)
+    for s in (-1, 0, 2 * m - 2, 2 * m - 1):
+        yield f"E[{s}] m={m}", cond_expect_handle(s, spec)
+    for s in (0, 2 * m - 1):
+        yield f"D[{s}] m={m}", mart_diff_handle(s, spec)
+
+
+def _tensor_handles():
+    for m1, m2 in ((1, 1), (1, 2), (2, 1)):
+        ctx = TensorContext(StateSpec(0.3, m1), StateSpec(0.1, m2))
+        for n in (0, 3, max_shell_index(ctx)):
+            yield f"Q[{n}] ({m1},{m2})", OperatorHandle(
+                ctx.dim, lambda x, n=n, ctx=ctx: tensor_partial_sum(x, n, ctx)
+            )
+
+
+def test_handle_matrix_matches_probe_oracle():
+    handles = [h for m in (1, 2, 3) for h in _handles_at(m)] + list(_tensor_handles())
+    for label, handle in handles:
+        oracle = probe_matrix(handle)
+        assert handle.matrix().shape == oracle.shape, label
+        assert np.max(np.abs(handle.matrix() - oracle)) <= 1e-13, label
+
+
+def test_handle_call_maps_a_stack():
+    spec = StateSpec(0.3, 2)
+    xs = np.stack([random_matrix(2, 90 + k) for k in range(6)]).reshape(2, 3, 4, 4)
+    for label, handle in _handles_at(2):
+        out = handle(xs)
+        assert out.shape == xs.shape, label
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(out[idx] - handle(xs[idx]))) <= 1e-14, label
+    explicit = OperatorHandle.from_matrix(mart_diff_handle(1, spec).matrix())
+    assert np.max(np.abs(explicit(xs) - mart_diff_handle(1, spec)(xs))) <= 1e-13
+
+
+def _sign_sweep_reference(ctx, mode, trials, seed, pattern_samples=256):
+    """The sign sweep with one probe and one pattern at a time."""
+    spec = ctx.state
+    steps = 2 * spec.m
+    d = spec.dim
+    if mode == "exhaustive":
+        patterns = [[-1.0 if (k >> s) & 1 else 1.0 for s in range(steps)] for k in range(1 << steps)]
+    else:
+        rng = task_rng(seed, 0xFACE)
+        patterns = np.where(rng.random((pattern_samples, steps)) < 0.5, -1.0, 1.0)
+        patterns[0, :] = 1.0
+    probes = [walsh_matrix(n, spec.m) for n in range(4**spec.m)]
+    probes += matrix_units(d)
+    probes += [gaussian_matrix(d, task_rng(seed, k)) for k in range(trials)]
+    parts = [
+        (lp_norm(x, ctx), rho_value(x, spec) * np.eye(d), [mart_diff(x, s, spec) for s in range(steps)])
+        for x in probes
+    ]
+    maxima = []
+    for pat in patterns:
+        best = 0.0
+        for nx, mean, diffs in parts:
+            if nx > 1e-12:
+                y = mean + sum(eps * diff for eps, diff in zip(pat, diffs))
+                best = max(best, lp_norm(y, ctx) / nx)
+        maxima.append(best)
+    return maxima
+
+
+@pytest.mark.parametrize(
+    "m, mode, p, trials", [(2, "exhaustive", 4.0, 30), (3, "sampled", 3.0, 6)]
+)
+def test_unconditionality_matches_per_probe_reference(m, mode, p, trials):
+    ctx = LpContext(p, StateSpec(0.3, m))
+    rep = unconditionality_constant(ctx, mode, trials=trials, seed=5, pattern_samples=24)
+    maxima = _sign_sweep_reference(ctx, mode, trials, seed=5, pattern_samples=24)
+    assert abs(rep.max_ratio - max(maxima)) <= 1e-12 * max(maxima)
+    if mode == "exhaustive":
+        assert len(rep.pattern_maxima) == len(maxima)
+        for got, want in zip(rep.pattern_maxima.values(), maxima):
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_unconditionality_refuses_oversized_stack_before_building_probes():
+    assert sign_sweep_stack_bytes(6, 1) > MAX_SIGN_STACK_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="difference stack"):
+            unconditionality_constant(LpContext(3.0, StateSpec(0.3, 6)), "sampled", trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -45,6 +45,8 @@ def test_rho_examples():
     assert abs(rho_value(np.eye(4), StateSpec(0.3, 2)) - 1) < 1e-14
     assert abs(rho_value(walsh_matrix(1, 1), StateSpec(0.3, 1)) - (-0.4)) < 1e-14
     assert abs(rho_value(walsh_matrix(5, 2), StateSpec(0.3, 2)) - 0.16) < 1e-14
+    stack = np.stack([np.eye(4), walsh_matrix(5, 2)])
+    assert np.allclose(rho_value(stack, StateSpec(0.3, 2)), [1, 0.16], rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         rho_value(np.eye(2), StateSpec(0.3, 2))
 

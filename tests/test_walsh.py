@@ -197,3 +197,16 @@ def test_meanzero_expansion_is_basis_expansion():
         c[n] = 1.0
         mat = system_synthesize(c, m, alpha, MEANZERO)
         assert np.allclose(mat, walsh_matrix(n, m, alpha, MEANZERO), atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", [PAPER, MEANZERO])
+def test_transforms_map_stacks(mode):
+    m = 2
+    xs = np.stack([random_matrix(m, 300 + k) for k in range(6)]).reshape(2, 3, 4, 4)
+    c = system_coefficients(xs, 0.3, mode)
+    assert c.shape == (2, 3, 16)
+    for idx in np.ndindex(2, 3):
+        assert np.max(np.abs(c[idx] - system_coefficients(xs[idx], 0.3, mode))) <= 1e-15
+    back = system_synthesize(c, m, 0.3, mode)
+    assert back.shape == xs.shape
+    assert np.max(np.abs(back - xs)) <= 1e-13
