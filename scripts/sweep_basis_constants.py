@@ -20,7 +20,6 @@ def main() -> int:
     ap.add_argument("--side", choices=("left", "right"), default="left")
     ap.add_argument("--restarts", type=int, default=32)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--outdir", default="out/basis_constants")
     args = ap.parse_args()
 
@@ -39,7 +38,6 @@ def main() -> int:
                 "--side", args.side,
                 "--restarts", str(args.restarts),
                 "--seed", str(args.seed),
-                "--workers", str(args.workers),
                 "--out", str(out),
             ]
             print("::", " ".join(argv))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, level_of_dim, task_rng
+from .linalg import as_matrix, level_of_dim
+from .schauder import multistart_ascent
 from .states import StateSpec, state_diagonal
 from .walsh import walsh_matrix
 
@@ -106,26 +107,6 @@ def step_lp_norm(f: StepFunction, p: float, alpha: float) -> float:
     return float(((mags**p) * weights).sum() ** (1.0 / p))
 
 
-def step_to_json(f: StepFunction) -> dict:
-    """Encode a step function as {"level": L, "re": [...], "im": [...]}."""
-    return {
-        "level": f.level,
-        "re": f.values.real.tolist(),
-        "im": f.values.imag.tolist(),
-    }
-
-
-def step_from_json(obj: dict) -> StepFunction:
-    level = int(obj["level"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
-    if re.shape != (1 << level,) or im.shape != (1 << level,):
-        raise ValueError(
-            f"step payload shape {re.shape}/{im.shape} does not match level {level}"
-        )
-    return StepFunction(level=level, values=re + 1j * im)
-
-
 def diag_index_map(n: int) -> int:
     """Spread the bits of n onto the even binary positions."""
     if n < 0:
@@ -162,15 +143,21 @@ def classical_partial_sum(f: StepFunction, n: int) -> StepFunction:
     return StepFunction(level=f.level, values=basis @ coeffs)
 
 
+def classical_projection(n: int, level: int) -> np.ndarray:
+    """Matrix of the classical partial-sum projection onto Walsh functions 0..n.
+
+    The basis columns are orthogonal +-1 vectors, so the inverse of the basis
+    matrix is its transpose over 2**level and every entry is exact.
+    """
+    if not 0 <= n < (1 << level):
+        raise ValueError(f"partial-sum index {n} out of range for level {level}")
+    kept = classical_basis_matrix(level)[:, : n + 1]
+    return kept @ kept.T / 2**level
+
+
 def classical_norm_exact2(n: int, level: int, alpha: float) -> float:
     """Exact weighted-L^2 norm of the classical partial-sum projection."""
-    dim = 1 << level
-    if not 0 <= n < dim:
-        raise ValueError(f"partial-sum index {n} out of range for level {level}")
-    basis = classical_basis_matrix(level)
-    keep = np.zeros(dim)
-    keep[: n + 1] = 1.0
-    proj = basis @ np.diag(keep) @ np.linalg.inv(basis)
+    proj = classical_projection(n, level)
     root = np.sqrt(dyadic_weights(level, alpha).weights)
     sim = (root[:, None] * proj) / root[None, :]
     return float(np.linalg.svd(sim, compute_uv=False)[0])
@@ -188,20 +175,20 @@ def classical_norm_estimate(
 ) -> tuple[float, bool]:
     """Lower-bound estimate of the weighted-L^p norm of the classical projection.
 
-    Same multi-start normalized-ascent scheme as the matrix engine, on the
-    interval-value vectors.
+    Runs ``schauder.multistart_ascent`` on the interval-value vectors.
     """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
     dim = 1 << level
-    basis = classical_basis_matrix(level)
-    keep = np.zeros(dim)
-    keep[: n + 1] = 1.0
-    proj = basis @ np.diag(keep) @ np.linalg.inv(basis)
+    proj = classical_projection(n, level)
     adj = proj.conj().T
     weights = dyadic_weights(level, alpha).weights
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return proj @ v
 
     def norm_of(v: np.ndarray) -> float:
         mags = np.abs(v)
@@ -223,45 +210,7 @@ def classical_norm_estimate(
         scale = weights * np.where(mags > 0, mags, 1.0) ** (p - 2.0) / value ** (p - 1.0)
         return scale * v
 
-    best = 0.0
-    best_converged = False
-    for r in range(restarts):
-        rng = task_rng(seed, r)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        nv = norm_of(v)
-        if nv == 0.0:
-            continue
-        v = v / nv
-        value = norm_of(proj @ v)
-        converged = False
-        step, quiet = 1.0, 0
-        for _ in range(max_iter):
-            g = adj @ norm_gradient(proj @ v) - value * norm_gradient(v)
-            gn = np.linalg.norm(g)
-            if gn < 1e-300:
-                converged = True
-                break
-            g = g / gn
-            rel = 0.0
-            trial = step
-            while trial > 1e-12:
-                cand = v + trial * g
-                cn = norm_of(cand)
-                if cn > 0:
-                    cand = cand / cn
-                    cv = norm_of(proj @ cand)
-                    if cv > value:
-                        rel = (cv - value) / max(value, 1e-300)
-                        v, value = cand, cv
-                        step = min(trial * 2.0, 1.0)
-                        break
-                trial *= 0.5
-            else:
-                step = 1.0
-            quiet = quiet + 1 if rel < tol else 0
-            if quiet >= 5:
-                converged = True
-                break
-        if value > best:
-            best, best_converged = value, converged
-    return best, best_converged
+    def ratio_gradient(v: np.ndarray, value: float) -> np.ndarray:
+        return adj @ norm_gradient(proj @ v) - value * norm_gradient(v)
+
+    return multistart_ascent(draw, apply, ratio_gradient, norm_of, restarts, seed, tol, max_iter)

@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--side", choices=("left", "right"), default="left")
     b.add_argument("--nmax", type=int, default=None)
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
     b.add_argument("--out", required=True)
 
     u = sub.add_parser("unconditionality", help="sign-sweep ratio experiment")
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--mode", choices=("exhaustive", "sampled"), required=True)
     u.add_argument("--trials", type=int, required=True)
     u.add_argument("--seed", type=int, required=True)
-    u.add_argument("--workers", type=int, default=1)
+    u.add_argument("--workers", type=int, default=1, help="threads for the sign patterns")
     u.add_argument("--out", required=True)
 
     t = sub.add_parser("tensor-sweep", help="shell partial-sum norms on a two-block space")
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--nmax", type=int, required=True)
     t.add_argument("--restarts", type=int, default=32)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--workers", type=int, default=1)
+    t.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
     t.add_argument("--out", required=True)
 
     k = sub.add_parser("classical", help="classical partial-sum norms on dyadic steps")
@@ -419,18 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--nmax", type=int, required=True)
     k.add_argument("--restarts", type=int, default=32)
     k.add_argument("--seed", type=int, default=None)
-    k.add_argument("--workers", type=int, default=1)
+    k.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
     k.add_argument("--out", required=True)
     return parser
-
-
-def _parallel_rows(cells, worker, workers: int):
-    if workers <= 1:
-        return [worker(c) for c in cells]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, cells))
 
 
 def _cmd_gen_walsh(args, argv) -> int:
@@ -474,6 +465,14 @@ def _cmd_norm(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
+    if args.suite == "walsh":
+        # The suite holds all 4**m Walsh matrices densely: 16**m complex entries.
+        need = 16**args.level * np.dtype(np.complex128).itemsize
+        if need > MAX_SIGN_STACK_BYTES:
+            raise ValueError(
+                f"--level {args.level} needs a {need / 2**30:.2f} GiB Walsh stack for the walsh "
+                f"suite, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit; lower --level"
+            )
     rows = SUITES[args.suite](args.level, args.alpha, args.tol)
     ok = _print_checks(rows)
     return 0 if ok else 1
@@ -501,9 +500,7 @@ def _cmd_basis_constants(args, argv) -> int:
         method=args.method,
         restarts=args.restarts,
         seed=seed,
-        workers=args.workers,
     )
-    rows.sort(key=lambda r: (r.n, r.p, r.alpha))
     write_csv(
         args.out,
         BASIS_HEADER,
@@ -595,8 +592,7 @@ def _cmd_tensor_sweep(args, argv) -> int:
         i, j = shell_pair(n)
         return [n, i, j, args.alpha, args.alpha2, args.p, value]
 
-    rows = _parallel_rows(range(args.nmax + 1), cell, args.workers)
-    rows.sort(key=lambda r: r[0])
+    rows = [cell(n) for n in range(args.nmax + 1)]
     write_csv(args.out, TENSOR_HEADER, rows)
     write_manifest(
         args.out,
@@ -633,8 +629,7 @@ def _cmd_classical(args, argv) -> int:
             method = ESTIMATE
         return [n, args.p, args.alpha, "left", method, value, converged]
 
-    rows = _parallel_rows(range(args.nmax + 1), cell, args.workers)
-    rows.sort(key=lambda r: r[0])
+    rows = [cell(n) for n in range(args.nmax + 1)]
     write_csv(args.out, BASIS_HEADER, rows)
     write_manifest(
         args.out,

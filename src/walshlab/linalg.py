@@ -81,12 +81,14 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with w real ascending and v orthonormal columns.  Rejects
-    inputs whose Hermiticity residual max|h - h*| exceeds ``tol``.
+    inputs whose Hermiticity residual max|h - h*| exceeds ``tol`` relative to
+    the matrix scale max|h|.
     """
     h = as_matrix(h)
     residual = np.max(np.abs(h - h.conj().T))
-    if residual > tol:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
+    scale = np.max(np.abs(h))
+    if residual > tol * scale:
+        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} at scale {scale:.3e})")
     return np.linalg.eigh(h)
 
 
@@ -121,12 +123,13 @@ def psd_power(h, t) -> np.ndarray:
 
     ``t`` may be real or pure imaginary.  Exponents that require inverting or
     rotating the spectrum (t.real < 0 or t.imag != 0) demand a positive
-    definite input.
+    definite input: its smallest eigenvalue must exceed HERMITICITY_TOL times
+    the spectral radius.
     """
     tc = complex(t)
     w, v = hermitian_eig(h)
     needs_pd = tc.real < 0 or tc.imag != 0
-    if needs_pd and w.min() <= HERMITICITY_TOL:
+    if needs_pd and w.min() <= HERMITICITY_TOL * np.max(np.abs(w)):
         raise ValueError(
             f"exponent {tc} requires a positive definite matrix "
             f"(min eigenvalue {w.min():.3e})"

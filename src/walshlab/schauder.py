@@ -52,7 +52,7 @@ def matrix_unit_stack(dim: int) -> np.ndarray:
 
 
 class OperatorHandle:
-    """Composable linear map on the 4**m dimensional space of 2**m matrices.
+    """Linear map on the 4**m dimensional space of 2**m matrices.
 
     Wraps a callable that maps a (..., d, d) stack matrix by matrix; calling
     the handle on one matrix or on a stack gives the image of each.
@@ -68,30 +68,6 @@ class OperatorHandle:
 
     def __call__(self, x) -> np.ndarray:
         return self._fn(as_stack(x))
-
-    def __matmul__(self, other: "OperatorHandle") -> "OperatorHandle":
-        if self.dim != other.dim:
-            raise ValueError("cannot compose handles of different dimension")
-        return OperatorHandle(
-            self.dim, lambda x: self(other(x)), f"({self.label} . {other.label})"
-        )
-
-    def __add__(self, other: "OperatorHandle") -> "OperatorHandle":
-        if self.dim != other.dim:
-            raise ValueError("cannot add handles of different dimension")
-        return OperatorHandle(
-            self.dim, lambda x: self(x) + other(x), f"({self.label} + {other.label})"
-        )
-
-    def __sub__(self, other: "OperatorHandle") -> "OperatorHandle":
-        if self.dim != other.dim:
-            raise ValueError("cannot subtract handles of different dimension")
-        return OperatorHandle(
-            self.dim, lambda x: self(x) - other(x), f"({self.label} - {other.label})"
-        )
-
-    def __rmul__(self, c) -> "OperatorHandle":
-        return OperatorHandle(self.dim, lambda x: c * self(x), f"({c} * {self.label})")
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorHandle":
@@ -165,16 +141,6 @@ def cond_expect_handle(s: int, spec: StateSpec) -> OperatorHandle:
 
 def mart_diff_handle(s: int, spec: StateSpec) -> OperatorHandle:
     return OperatorHandle(spec.dim, lambda x: mart_diff(x, s, spec), f"D[{s}]")
-
-
-def left_mult_handle(w) -> OperatorHandle:
-    w = as_matrix(w)
-    return OperatorHandle(w.shape[0], lambda x: w @ x, "lmul")
-
-
-def right_mult_handle(w) -> OperatorHandle:
-    w = as_matrix(w)
-    return OperatorHandle(w.shape[0], lambda x: x @ w, "rmul")
 
 
 def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
@@ -303,6 +269,65 @@ def _schatten_subgradient(mat: np.ndarray, p: float) -> np.ndarray:
     return (u[:, keep] * coeff) @ vh[keep]
 
 
+def multistart_ascent(
+    draw, apply, gradient, norm_of, restarts: int, seed: int, tol: float, max_iter: int
+) -> tuple[float, bool]:
+    """Best ratio ||apply(x)|| / ||x|| found by multi-start normalized ascent.
+
+    Restart r climbs from ``draw(task_rng(seed, r))`` with normalized
+    ``gradient(x, value)`` steps and 0.5-backtracking, and stops once five
+    consecutive iterations improve by less than ``tol`` relative.  Returns
+    (best value, whether the best restart converged); the best value is
+    always a valid lower bound of the operator norm.
+    """
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    best = 0.0
+    best_converged = False
+    for r in range(restarts):
+        x = draw(task_rng(seed, r))
+        nx = norm_of(x)
+        if nx == 0.0:
+            continue
+        x = x / nx
+        value = norm_of(apply(x))
+        converged = False
+        step = 1.0
+        quiet = 0
+        for _ in range(max_iter):
+            g = gradient(x, value)
+            gn = np.linalg.norm(g)
+            if gn < 1e-300:
+                converged = True
+                break
+            g = g / gn
+            rel = 0.0
+            trial = step
+            while trial > 1e-12:
+                cand = x + trial * g
+                cn = norm_of(cand)
+                if cn > 0:
+                    cand = cand / cn
+                    cv = norm_of(apply(cand))
+                    if cv > value:
+                        rel = (cv - value) / max(value, 1e-300)
+                        x, value = cand, cv
+                        step = min(trial * 2.0, 1.0)
+                        break
+                trial *= 0.5
+            else:
+                step = 1.0
+            quiet = quiet + 1 if rel < tol else 0
+            if quiet >= 5:
+                converged = True
+                break
+        if value > best:
+            best, best_converged = value, converged
+    return best, best_converged
+
+
 def estimate_norm_lp(
     T: OperatorHandle,
     ctx: LpContext | None = None,
@@ -315,17 +340,8 @@ def estimate_norm_lp(
     weights: np.ndarray | None = None,
     max_iter: int = 400,
 ) -> NormReport:
-    """Lower-bound estimate of the weighted p-norm of T by multi-start ascent.
-
-    Each restart draws a Gaussian matrix and climbs the ratio with normalized
-    subgradient steps and 0.5-backtracking; a restart stops once five
-    consecutive iterations improve by less than ``tol`` relative.  The best
-    ratio found is always a valid lower bound.
-    """
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
+    from seeded Gaussian matrices."""
     if ctx is not None:
         p = ctx.p
         side = ctx.side
@@ -365,54 +381,14 @@ def estimate_norm_lp(
         g_num = (adj @ norm_gradient(tx).ravel()).reshape(d, d)
         return g_num - value * norm_gradient(x)
 
-    best_value = 0.0
-    best_converged = False
-    for r in range(restarts):
-        rng = task_rng(seed, r)
-        x = gaussian_matrix(d, rng)
-        nx = norm_of(x)
-        if nx == 0.0:
-            continue
-        x = x / nx
-        value = norm_of(T(x))
-        converged = False
-        step = 1.0
-        quiet = 0
-        for _ in range(max_iter):
-            g = ratio_gradient(x, value)
-            gn = np.linalg.norm(g)
-            if gn < 1e-300:
-                converged = True
-                break
-            g = g / gn
-            rel = 0.0
-            trial = step
-            while trial > 1e-12:
-                cand = x + trial * g
-                cn = norm_of(cand)
-                if cn > 0:
-                    cand = cand / cn
-                    cv = norm_of(T(cand))
-                    if cv > value:
-                        rel = (cv - value) / max(value, 1e-300)
-                        x, value = cand, cv
-                        step = min(trial * 2.0, 1.0)
-                        break
-                trial *= 0.5
-            else:
-                step = 1.0
-            quiet = quiet + 1 if rel < tol else 0
-            if quiet >= 5:
-                converged = True
-                break
-        if value > best_value:
-            best_value = value
-            best_converged = converged
+    value, converged = multistart_ascent(
+        lambda rng: gaussian_matrix(d, rng), T, ratio_gradient, norm_of, restarts, seed, tol, max_iter
+    )
     return NormReport(
-        value=best_value,
+        value=value,
         method=ESTIMATE,
         restarts=restarts,
-        converged=best_converged,
+        converged=converged,
         seed=seed,
     )
 
@@ -466,27 +442,15 @@ def basis_constant_sweep(
     seed: int = 0,
     tol: float = 1e-6,
     mode: str = PAPER,
-    workers: int = 1,
 ) -> list[BasisConstantRow]:
     """Norms of the partial-sum projections for n = 0..n_max.
 
-    Cells are independent and seeded by (seed, n), so the result is the same
-    for any worker count.
+    Cells are independent and seeded by (seed, n).
     """
     spec = ctx.state
     if not 0 <= n_max < 4**spec.m:
         raise ValueError(f"sweep bound {n_max} out of range for level m={spec.m}")
-
-    def cell(n: int) -> BasisConstantRow:
-        return basis_constant_row(ctx, n, method, restarts, seed, tol, mode)
-
-    indices = range(n_max + 1)
-    if workers <= 1:
-        return [cell(n) for n in indices]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell, indices))
+    return [basis_constant_row(ctx, n, method, restarts, seed, tol, mode) for n in range(n_max + 1)]
 
 
 def _sign_patterns(count: int) -> np.ndarray:

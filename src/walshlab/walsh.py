@@ -18,7 +18,6 @@ from .linalg import (
     apply_factor_maps,
     as_matrix,
     as_stack,
-    dagger,
     kron,
     level_of_dim,
 )
@@ -265,24 +264,10 @@ def coefficients_to_json(c, m: int) -> dict:
     return {"m": m, "re": c.real.tolist(), "im": c.imag.tolist()}
 
 
-def coefficients_from_json(obj: dict) -> tuple[np.ndarray, int]:
-    m = int(obj["m"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
-    if re.shape != (4**m,) or im.shape != (4**m,):
-        raise ValueError(
-            f"coefficient payload shape {re.shape}/{im.shape} does not match m={m}"
-        )
-    return re + 1j * im, m
-
-
 def gram_matrix(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
-    """Normalized-trace Gram matrix of the level-m system (orthonormal in paper mode)."""
-    dim = 1 << m
-    mats = [walsh_matrix(n, m, alpha, mode) for n in range(4**m)]
-    g = np.empty((4**m, 4**m), dtype=np.complex128)
-    for a, wa in enumerate(mats):
-        wad = dagger(wa)
-        for b, wb in enumerate(mats):
-            g[a, b] = np.trace(wad @ wb) / dim
-    return g
+    """Normalized-trace Gram matrix of the level-m system (orthonormal in paper mode).
+
+    Entry (a, b) is Tr(w_a* w_b) / 2**m, one product of the flattened system.
+    """
+    flat = np.stack([walsh_matrix(n, m, alpha, mode).ravel() for n in range(4**m)])
+    return (flat.conj() @ flat.T) / 2**m

@@ -9,6 +9,7 @@ from walshlab.classical import (
     classical_norm_estimate,
     classical_norm_exact2,
     classical_partial_sum,
+    classical_projection,
     classical_walsh_values,
     diag_index_map,
     diag_to_step,
@@ -147,3 +148,15 @@ def test_step_function_validation():
         StepFunction(2, np.ones(3))
     with pytest.raises(ValueError):
         StepFunction(0, np.ones(1))
+
+
+def test_classical_projection_equals_inverse_formula():
+    for level in range(1, 9):
+        dim = 1 << level
+        basis = classical_basis_matrix(level)
+        inverse = np.linalg.inv(basis)
+        for n in sorted(set(range(0, dim, max(1, dim // 16))) | {dim - 1}):
+            keep = np.zeros(dim)
+            keep[: n + 1] = 1.0
+            expected = basis @ np.diag(keep) @ inverse
+            assert np.array_equal(classical_projection(n, level), expected), (level, n)

@@ -223,6 +223,15 @@ def test_tensor_sweep_refuses_joint_level_above_explicit_cap(tmp_path, capsys, m
     assert not (tmp_path / "ts.csv").exists()
 
 
+def test_verify_walsh_refuses_oversized_walsh_stack(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "walsh", _refuse_work)
+    for level in ("7", "8"):
+        code, out, err = run(capsys, "verify", "--suite", "walsh", "--level", level, "--alpha", "0.3")
+        assert code == 2
+        assert "--level" in err
+        assert out == ""
+
+
 def test_unconditionality_refuses_oversized_difference_stack(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "unconditionality_constant", _refuse_work)
     tracemalloc.start()

@@ -9,6 +9,7 @@ from helpers import factor_map_oracle, random_matrix, random_psd
 from walshlab.linalg import (
     apply_factor_maps,
     dagger,
+    gaussian_matrix,
     gns_inner,
     hermitian_eig,
     kron,
@@ -18,6 +19,7 @@ from walshlab.linalg import (
     psd_power,
     schatten_norm,
     singular_values,
+    task_rng,
 )
 from walshlab.states import StateSpec, state_diagonal
 from walshlab.walsh import walsh_matrix
@@ -93,6 +95,17 @@ def test_hermitian_eig_contract():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0, 1], [0, 0]]))
+
+
+def test_hermitian_tolerance_is_relative_to_scale():
+    q, _ = np.linalg.qr(gaussian_matrix(16, task_rng(7, 0)))
+    w = np.linspace(1e6, 2e6, 16)
+    h = (q * w) @ q.conj().T
+    assert np.max(np.abs(h - h.conj().T)) > 1e-12  # rounding at scale 2e6
+    root = psd_power(h, 0.5)
+    assert np.max(np.abs(root @ root - h)) <= 1e-12 * 2e6
+    tiny = np.diag([1e-14, 2e-14])
+    assert np.allclose(psd_power(tiny, -1.0), np.diag([1e14, 5e13]))
 
 
 def test_psd_power_examples():

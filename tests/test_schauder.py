@@ -52,14 +52,7 @@ def test_handle_functional_and_explicit_agree():
 
 
 def test_handle_algebra():
-    spec = StateSpec(0.3, 2)
-    a = cond_expect_handle(1, spec)
-    b = mart_diff_handle(2, spec)
     x = random_matrix(2, 5)
-    assert np.allclose((a + b)(x), a(x) + b(x))
-    assert np.allclose((a - b)(x), a(x) - b(x))
-    assert np.allclose((a @ b)(x), a(b(x)))
-    assert np.allclose((2.5 * a)(x), 2.5 * a(x))
     assert np.allclose(OperatorHandle.identity(4)(x), x)
 
 
@@ -253,13 +246,6 @@ def test_basis_constant_sweep_biased_level1():
     for row in rows:
         assert abs(row.decomp_value - 1) < 1e-10
     assert abs(rows[2].gap - (oblique - 1)) < 1e-10
-
-
-def test_basis_constant_sweep_workers_deterministic():
-    ctx = LpContext(2.0, StateSpec(0.3, 1))
-    serial = basis_constant_sweep(ctx, 3, method=ESTIMATE, restarts=4, seed=9, workers=1)
-    parallel = basis_constant_sweep(ctx, 3, method=ESTIMATE, restarts=4, seed=9, workers=4)
-    assert [r.value for r in serial] == [r.value for r in parallel]
 
 
 def test_decomposition_handle_matches_subset():

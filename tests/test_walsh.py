@@ -131,6 +131,14 @@ def test_gram_orthonormal_small_levels():
         assert np.max(np.abs(g - np.eye(4**m))) < 1e-12
 
 
+@pytest.mark.parametrize("mode", [PAPER, MEANZERO])
+def test_gram_matrix_matches_per_entry_traces(mode):
+    for m in (1, 2):
+        mats = [walsh_matrix(n, m, 0.3, mode) for n in range(4**m)]
+        oracle = np.array([[np.trace(dagger(a) @ b) / 2**m for b in mats] for a in mats])
+        assert np.max(np.abs(gram_matrix(m, 0.3, mode) - oracle)) <= 1e-15
+
+
 def test_coefficients_examples():
     x = walsh_matrix(0, 1) + 2 * walsh_matrix(1, 1)
     assert np.allclose(walsh_coefficients(x), [1, 2, 0, 0])
