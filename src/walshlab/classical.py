@@ -72,17 +72,23 @@ def dyadic_weights(level: int, alpha: float) -> DyadicWeightTable:
     )
 
 
+def _walsh_signs(ns, level: int) -> np.ndarray:
+    """Classical Walsh values, one column per index in ``ns``: entry (k, n) is
+    prod_i (1 - 2 * (bit_{level-1-i}(k) & bit_i(n))), the factors that are 1 skipped."""
+    ks = np.arange(1 << level)[:, None]
+    ns = np.asarray(ns)[None, :]
+    signs = np.ones((ks.shape[0], ns.shape[1]), dtype=np.complex128)
+    for i in range(level):
+        bits = (ks >> (level - 1 - i)) & 1
+        np.multiply(signs, 1.0 - 2.0 * bits, out=signs, where=((ns >> i) & 1).astype(bool))
+    return signs
+
+
 def classical_walsh_values(n: int, level: int) -> StepFunction:
     """Values of the n-th classical Walsh function on the level's intervals."""
     if not 0 <= n < (1 << level):
         raise ValueError(f"series index {n} out of range for level {level}")
-    ks = np.arange(1 << level)
-    values = np.ones(1 << level, dtype=np.complex128)
-    for i in range(level):
-        if (n >> i) & 1:
-            bits = (ks >> (level - 1 - i)) & 1
-            values *= 1.0 - 2.0 * bits
-    return StepFunction(level=level, values=values)
+    return StepFunction(level=level, values=_walsh_signs([n], level)[:, 0])
 
 
 def diag_to_step(x) -> StepFunction:
@@ -128,8 +134,7 @@ def diagonal_walsh_matrix(n: int, level: int) -> np.ndarray:
 
 def classical_basis_matrix(level: int) -> np.ndarray:
     """Columns are the classical Walsh functions 0..2**level-1 (a +-1 matrix)."""
-    cols = [classical_walsh_values(n, level).values for n in range(1 << level)]
-    return np.column_stack(cols)
+    return _walsh_signs(np.arange(1 << level), level)
 
 
 def classical_partial_sum(f: StepFunction, n: int) -> StepFunction:
@@ -180,15 +185,10 @@ def classical_norm_estimate(
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
     dim = 1 << level
-    proj = classical_projection(n, level)
-    adj = proj.conj().T
     weights = dyadic_weights(level, alpha).weights
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return proj @ v
 
     def norm_of(v: np.ndarray) -> float:
         mags = np.abs(v)
@@ -210,7 +210,6 @@ def classical_norm_estimate(
         scale = weights * np.where(mags > 0, mags, 1.0) ** (p - 2.0) / value ** (p - 1.0)
         return scale * v
 
-    def ratio_gradient(v: np.ndarray, value: float) -> np.ndarray:
-        return adj @ norm_gradient(proj @ v) - value * norm_gradient(v)
-
-    return multistart_ascent(draw, apply, ratio_gradient, norm_of, restarts, seed, tol, max_iter)
+    return multistart_ascent(
+        classical_projection(n, level), draw, norm_of, norm_gradient, restarts, seed, tol, max_iter
+    )

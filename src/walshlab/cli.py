@@ -265,13 +265,12 @@ def _suite_expectations(m: int, alpha: float, tol: float | None) -> list[CheckRo
 def _suite_identity(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
     spec = StateSpec(alpha, m)
     count = 4**m
+    walsh_stack = np.stack([walsh_matrix(j, m) for j in range(count)])
     worst = 0.0
-    for j in range(count):
-        x = walsh_matrix(j, m)
-        for n in range(count - 1):
-            for side in ("left", "right"):
-                _, norms = identity_residual(x, n, spec, side)
-                worst = max(worst, norms[0])
+    for n in range(count - 1):
+        for side in ("left", "right"):
+            _, norms = identity_residual(walsh_stack, n, spec, side)
+            worst = max(worst, float(norms[0].max()))
     if alpha == 0.5:
         return [_assert_row("decomposition-identity(exhaustive)", worst, _pick(tol, 1e-12))]
     rows = [_report_row("decomposition-identity(max-residual)", worst)]
@@ -465,6 +464,9 @@ def _cmd_norm(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
+    if args.suite == "identity":
+        # 2 * 4**m residuals over all 4**m Walsh matrices: about 16x the time per level.
+        _check_explicit_level(args.level, "--level")
     if args.suite == "walsh":
         # The suite holds all 4**m Walsh matrices densely: 16**m complex entries.
         need = 16**args.level * np.dtype(np.complex128).itemsize
@@ -482,7 +484,7 @@ def _check_explicit_level(level: int, flags: str) -> None:
     if level > MAX_EXPLICIT_LEVEL:
         raise ValueError(
             f"{flags} = {level} exceeds {MAX_EXPLICIT_LEVEL}, the largest level "
-            f"whose superoperator is materialized"
+            f"this command runs at"
         )
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    as_matrix,
     as_stack,
     gaussian_matrix,
     level_of_dim,
@@ -31,7 +30,6 @@ from .states import (
     cond_expect,
     lp_norm,
     mart_diff,
-    rho_value,
     state_diagonal,
     weighted_lp_norm,
 )
@@ -194,15 +192,16 @@ def identity_residual(
     side: str = LEFT,
     mode: str = PAPER,
     ps: tuple = (2.0,),
-) -> tuple[np.ndarray, list[float]]:
+) -> tuple[np.ndarray, list]:
     """Residual of the partial-sum decomposition identity at index n.
 
     Left side compares w_n * P_n(x) against rho(w_n x) I plus the martingale
     differences over the set digits of n, applied to w_n x; the right side
-    mirrors with multiplication from the right.  Returns the residual matrix
-    and its weighted norms for each exponent in ``ps``.
+    mirrors with multiplication from the right.  Returns the residual and its
+    weighted norms for each exponent in ``ps``: floats for one matrix, arrays
+    of shape (...) for a (..., d, d) stack.
     """
-    x = as_matrix(x)
+    x = as_stack(x)
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     w = walsh_matrix(n, spec.m, spec.alpha, mode)
@@ -213,7 +212,7 @@ def identity_residual(
     else:
         lhs = px @ w
         wx = x @ w
-    rhs = rho_value(wx, spec) * np.eye(spec.dim, dtype=np.complex128)
+    rhs = cond_expect(wx, -1, spec)
     for s, g in enumerate(binary_digits(n)):
         if g:
             rhs += mart_diff(wx, s, spec)
@@ -270,20 +269,23 @@ def _schatten_subgradient(mat: np.ndarray, p: float) -> np.ndarray:
 
 
 def multistart_ascent(
-    draw, apply, gradient, norm_of, restarts: int, seed: int, tol: float, max_iter: int
+    mat: np.ndarray, draw, norm_of, norm_gradient, restarts: int, seed: int, tol: float, max_iter: int
 ) -> tuple[float, bool]:
-    """Best ratio ||apply(x)|| / ||x|| found by multi-start normalized ascent.
+    """Best ratio ||mat @ x|| / ||x|| found by multi-start normalized ascent on flat vectors.
 
-    Restart r climbs from ``draw(task_rng(seed, r))`` with normalized
-    ``gradient(x, value)`` steps and 0.5-backtracking, and stops once five
-    consecutive iterations improve by less than ``tol`` relative.  Returns
-    (best value, whether the best restart converged); the best value is
-    always a valid lower bound of the operator norm.
+    Restart r climbs from ``draw(task_rng(seed, r))`` along the normalized
+    gradient of the ratio at ||x|| = 1, ``mat* norm_gradient(mat @ x) - value *
+    norm_gradient(x)`` (the numerator gradient minus its component along the
+    constraint), with 0.5-backtracking, and stops once five consecutive
+    iterations improve by less than ``tol`` relative.  Returns (best value,
+    whether the best restart converged); the best value is always a valid
+    lower bound of the operator norm.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    adj = mat.conj().T
     best = 0.0
     best_converged = False
     for r in range(restarts):
@@ -292,12 +294,12 @@ def multistart_ascent(
         if nx == 0.0:
             continue
         x = x / nx
-        value = norm_of(apply(x))
+        value = norm_of(mat @ x)
         converged = False
         step = 1.0
         quiet = 0
         for _ in range(max_iter):
-            g = gradient(x, value)
+            g = adj @ norm_gradient(mat @ x) - value * norm_gradient(x)
             gn = np.linalg.norm(g)
             if gn < 1e-300:
                 converged = True
@@ -310,7 +312,7 @@ def multistart_ascent(
                 cn = norm_of(cand)
                 if cn > 0:
                     cand = cand / cn
-                    cv = norm_of(apply(cand))
+                    cv = norm_of(mat @ cand)
                     if cv > value:
                         rel = (cv - value) / max(value, 1e-300)
                         x, value = cand, cv
@@ -341,7 +343,7 @@ def estimate_norm_lp(
     max_iter: int = 400,
 ) -> NormReport:
     """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
-    from seeded Gaussian matrices."""
+    on its materialized matrix, from seeded Gaussian matrices."""
     if ctx is not None:
         p = ctx.p
         side = ctx.side
@@ -356,33 +358,20 @@ def estimate_norm_lp(
     weights = np.asarray(weights, dtype=np.float64)
 
     d = T.dim
-    mat = T.matrix()
-    adj = mat.conj().T
-    if math.isinf(p):
-        wp = None
-    else:
-        wp = weights ** (1.0 / p)
+    # Column (left) or row (right) scaling by A^(1/p); the weight is 1 at p = inf.
+    wp = np.ones(d) if math.isinf(p) else weights ** (1.0 / p)
+    scale = wp[None, :] if side == LEFT else wp[:, None]
 
-    def norm_of(y: np.ndarray) -> float:
-        return weighted_lp_norm(y, weights, p, side)
+    def norm_of(v: np.ndarray) -> float:
+        return weighted_lp_norm(v.reshape(d, d), weights, p, side)
 
-    def norm_gradient(y: np.ndarray) -> np.ndarray:
-        # Euclidean gradient of the weighted Schatten norm at y.
-        if math.isinf(p):
-            return _schatten_subgradient(y, p)
-        if side == LEFT:
-            return _schatten_subgradient(y * wp[None, :], p) * wp[None, :]
-        return _schatten_subgradient(y * wp[:, None], p) * wp[:, None]
-
-    def ratio_gradient(x: np.ndarray, value: float) -> np.ndarray:
-        # Gradient of ||Tx|| / ||x|| at a point with ||x|| = 1: the raw
-        # numerator gradient minus its component along the constraint.
-        tx = (mat @ x.ravel()).reshape(d, d)
-        g_num = (adj @ norm_gradient(tx).ravel()).reshape(d, d)
-        return g_num - value * norm_gradient(x)
+    def norm_gradient(v: np.ndarray) -> np.ndarray:
+        # Euclidean gradient of the weighted Schatten norm at v.
+        return (_schatten_subgradient(v.reshape(d, d) * scale, p) * scale).ravel()
 
     value, converged = multistart_ascent(
-        lambda rng: gaussian_matrix(d, rng), T, ratio_gradient, norm_of, restarts, seed, tol, max_iter
+        T.matrix(), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of, norm_gradient,
+        restarts, seed, tol, max_iter,
     )
     return NormReport(
         value=value,

@@ -146,14 +146,14 @@ def batched_weighted_lp_norm(xs: np.ndarray, weights: np.ndarray, p: float, side
     return ((s**p).sum(axis=-1)) ** (1.0 / p)
 
 
-def lp_norm(x, ctx: LpContext) -> float:
-    """Weighted norm of x in the given context."""
-    x = as_matrix(x)
-    if x.shape[0] != ctx.state.dim:
-        raise ValueError(
-            f"matrix dimension {x.shape[0]} does not match level m={ctx.state.m}"
-        )
-    return weighted_lp_norm(x, state_diagonal(ctx.state), ctx.p, ctx.side)
+def lp_norm(x, ctx: LpContext) -> float | np.ndarray:
+    """Weighted norm in the given context: a float for one matrix, shape (...) for a stack."""
+    x = as_stack(x)
+    _check_dim(x, ctx.state)
+    weights = state_diagonal(ctx.state)
+    if x.ndim == 2:
+        return weighted_lp_norm(x, weights, ctx.p, ctx.side)
+    return batched_weighted_lp_norm(x, weights, ctx.p, ctx.side)
 
 
 def modular_flow(x, t: float, spec: StateSpec) -> np.ndarray:

@@ -3,7 +3,6 @@
 import numpy as np
 
 from walshlab.linalg import dagger, gaussian_matrix, task_rng
-from walshlab.walsh import walsh_matrix
 
 
 def random_matrix(m: int, seed: int) -> np.ndarray:
@@ -28,15 +27,6 @@ def matrix_units(dim: int) -> list[np.ndarray]:
             u[r, c] = 1.0
             units.append(u)
     return units
-
-
-def naive_gram_coefficients(x: np.ndarray, m: int) -> np.ndarray:
-    """Independent transform oracle: normalized traces against each basis matrix."""
-    out = np.empty(4**m, dtype=np.complex128)
-    for n in range(4**m):
-        w = walsh_matrix(n, m)
-        out[n] = np.trace(dagger(w) @ x) / (1 << m)
-    return out
 
 
 def probe_matrix(handle) -> np.ndarray:

@@ -160,3 +160,15 @@ def test_classical_projection_equals_inverse_formula():
             keep[: n + 1] = 1.0
             expected = basis @ np.diag(keep) @ inverse
             assert np.array_equal(classical_projection(n, level), expected), (level, n)
+
+
+def test_classical_basis_matrix_equals_per_function_columns():
+    for level in range(1, 9):
+        dim = 1 << level
+        basis = classical_basis_matrix(level)
+        columns = np.column_stack([classical_walsh_values(n, level).values for n in range(dim)])
+        assert basis.tobytes() == columns.tobytes(), level
+        # Independent oracle: (-1)**popcount(digit-reversed k & n).
+        rev = [int(format(k, f"0{level}b")[::-1], 2) for k in range(dim)]
+        parity = np.array([[bin(r & n).count("1") & 1 for n in range(dim)] for r in rev])
+        assert np.array_equal(basis, 1.0 - 2.0 * parity), level

@@ -232,6 +232,14 @@ def test_verify_walsh_refuses_oversized_walsh_stack(capsys, monkeypatch):
         assert out == ""
 
 
+def test_verify_identity_refuses_level_above_explicit_cap(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "identity", _refuse_work)
+    code, out, err = run(capsys, "verify", "--suite", "identity", "--level", "5", "--alpha", "0.3")
+    assert code == 2
+    assert "--level" in err
+    assert out == ""
+
+
 def test_unconditionality_refuses_oversized_difference_stack(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "unconditionality_constant", _refuse_work)
     tracemalloc.start()

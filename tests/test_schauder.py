@@ -37,7 +37,7 @@ from walshlab.schauder import (
     unconditionality_constant,
 )
 from walshlab.tensor import TensorContext, max_shell_index, tensor_partial_sum
-from walshlab.walsh import MEANZERO, walsh_matrix
+from walshlab.walsh import MEANZERO, PAPER, walsh_matrix
 
 W = walsh_matrix
 
@@ -134,6 +134,29 @@ def test_identity_residual_meanzero_base_case():
     assert norms[0] < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_identity_residual_stack_equals_per_matrix_loop(m):
+    # The stacked transform sums in another order: entries are O(1), so allow 1e-13.
+    count = 4**m
+    draws = [W(j, m) for j in range(count)] + [random_matrix(m, 40 + k) for k in range(4)]
+    xs = np.stack(draws).reshape((2, -1) + draws[0].shape)
+    ps = (1.0, 2.0, 3.0, np.inf)
+    for alpha in (0.3, 0.5):
+        spec = StateSpec(alpha, m)
+        for mode in (PAPER, MEANZERO):
+            for side in ("left", "right"):
+                for n in sorted({0, 1, count // 3, count - 2}):
+                    residual, norms = identity_residual(xs, n, spec, side, mode, ps)
+                    assert residual.shape == xs.shape
+                    assert all(v.shape == xs.shape[:2] for v in norms)
+                    for idx in np.ndindex(xs.shape[:2]):
+                        one, one_norms = identity_residual(xs[idx], n, spec, side, mode, ps)
+                        assert np.max(np.abs(residual[idx] - one)) <= 1e-13
+                        for v, one_v in zip(norms, one_norms):
+                            assert isinstance(one_v, float)
+                            assert abs(v[idx] - one_v) <= 1e-13 * max(1.0, one_v)
+
+
 def test_exact_norm_identity_and_expectations():
     spec = StateSpec(0.3, 2)
     assert abs(exact_norm_p2(OperatorHandle.identity(4), spec).value - 1) < 1e-12
@@ -212,6 +235,24 @@ def test_estimator_is_lower_bound_of_exact2(seed):
         assert est.value <= exact + 1e-4
         if est.converged:
             assert est.value >= exact - 1e-4
+
+
+def test_estimate_norm_lp_calls_its_handle_once():
+    # The ascent climbs on T.matrix(): one handle call on the matrix-unit stack.
+    spec = StateSpec(0.3, 2)
+    for p in (1.5, 3.0, np.inf):
+        for side in ("left", "right"):
+            base = partial_sum_handle(5, 2, 0.3)
+            shapes = []
+
+            def counted(x, base=base, shapes=shapes):
+                shapes.append(x.shape)
+                return base(x)
+
+            handle = OperatorHandle(base.dim, counted, "counted")
+            rep = estimate_norm_lp(handle, LpContext(p, spec, side), restarts=3, seed=4)
+            assert rep.value > 0.0
+            assert shapes == [(16, 4, 4)], (p, side, len(shapes))
 
 
 def test_estimator_rejections():

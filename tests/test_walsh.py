@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import naive_gram_coefficients, random_matrix
+from helpers import random_matrix
 from walshlab.linalg import dagger
 from walshlab.walsh import (
     MEANZERO,
@@ -19,6 +19,7 @@ from walshlab.walsh import (
     system_coefficients,
     system_synthesize,
     walsh_coefficients,
+    walsh_coefficients_naive,
     walsh_matrix,
     walsh_product_index,
     walsh_synthesize,
@@ -167,7 +168,7 @@ def test_round_trip_random(seed, m):
 def test_fast_matches_naive_gram(seed, m):
     x = random_matrix(m, seed)
     fast = walsh_coefficients(x)
-    naive = naive_gram_coefficients(x, m)
+    naive = walsh_coefficients_naive(x)
     assert np.max(np.abs(fast - naive)) < 1e-10
 
 
