@@ -11,12 +11,10 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 from walshlab.cli import fmt, write_csv
 from walshlab.schauder import identity_residual
 from walshlab.states import StateSpec
-from walshlab.walsh import walsh_matrix
+from walshlab.walsh import walsh_stack
 
 
 def main() -> int:
@@ -27,13 +25,13 @@ def main() -> int:
     args = ap.parse_args()
 
     count = 4**args.level
-    walsh_stack = np.stack([walsh_matrix(j, args.level) for j in range(count)])
+    probes = walsh_stack(args.level)
     rows = []
     for alpha in args.alphas:
         spec = StateSpec(alpha, args.level)
         for n in range(count - 1):
             for side in ("left", "right"):
-                _, norms = identity_residual(walsh_stack, n, spec, side)
+                _, norms = identity_residual(probes, n, spec, side)
                 rows.append([n, 2.0, alpha, side, "exact-probe", float(norms[0].max()), True])
     rows.sort(key=lambda r: (r[0], r[2]))
     pathlib.Path(args.out).parent.mkdir(parents=True, exist_ok=True)

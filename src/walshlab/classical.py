@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import as_matrix, level_of_dim
 from .schauder import multistart_ascent
-from .states import StateSpec, state_diagonal
+from .states import LEFT, StateSpec, _similarity_top_value, state_diagonal, weight_scale
 from .walsh import walsh_matrix
 
 MAX_STEP_LEVEL = 8
@@ -102,15 +102,19 @@ def diag_to_step(x) -> StepFunction:
     return StepFunction(level=m, values=np.diag(x).copy())
 
 
+def _weighted_vector_norm(v: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum |v_k|**p w_k)**(1/p); p = inf gives max |v_k|."""
+    mags = np.abs(v)
+    if math.isinf(p):
+        return float(mags.max())
+    return float(((mags**p) * weights).sum() ** (1.0 / p))
+
+
 def step_lp_norm(f: StepFunction, p: float, alpha: float) -> float:
     """Weighted L^p norm of a step function; p = inf gives the sup of |f|."""
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    mags = np.abs(f.values)
-    if math.isinf(p):
-        return float(mags.max())
-    weights = dyadic_weights(f.level, alpha).weights
-    return float(((mags**p) * weights).sum() ** (1.0 / p))
+    return _weighted_vector_norm(f.values, dyadic_weights(f.level, alpha).weights, p)
 
 
 def diag_index_map(n: int) -> int:
@@ -156,16 +160,15 @@ def classical_projection(n: int, level: int) -> np.ndarray:
     """
     if not 0 <= n < (1 << level):
         raise ValueError(f"partial-sum index {n} out of range for level {level}")
-    kept = classical_basis_matrix(level)[:, : n + 1]
+    kept = _walsh_signs(np.arange(n + 1), level)
     return kept @ kept.T / 2**level
 
 
 def classical_norm_exact2(n: int, level: int, alpha: float) -> float:
     """Exact weighted-L^2 norm of the classical partial-sum projection."""
-    proj = classical_projection(n, level)
-    root = np.sqrt(dyadic_weights(level, alpha).weights)
-    sim = (root[:, None] * proj) / root[None, :]
-    return float(np.linalg.svd(sim, compute_uv=False)[0])
+    # A step function is a diagonal matrix: interval k carries the weight of column k.
+    root = weight_scale(dyadic_weights(level, alpha).weights, 2.0, LEFT).ravel()
+    return _similarity_top_value(classical_projection(n, level), root)
 
 
 def classical_norm_estimate(
@@ -175,8 +178,6 @@ def classical_norm_estimate(
     p: float,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = 1e-6,
-    max_iter: int = 400,
 ) -> tuple[float, bool]:
     """Lower-bound estimate of the weighted-L^p norm of the classical projection.
 
@@ -191,10 +192,7 @@ def classical_norm_estimate(
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
     def norm_of(v: np.ndarray) -> float:
-        mags = np.abs(v)
-        if math.isinf(p):
-            return float(mags.max())
-        return float(((mags**p) * weights).sum() ** (1.0 / p))
+        return _weighted_vector_norm(v, weights, p)
 
     def norm_gradient(v: np.ndarray) -> np.ndarray:
         mags = np.abs(v)
@@ -211,5 +209,5 @@ def classical_norm_estimate(
         return scale * v
 
     return multistart_ascent(
-        classical_projection(n, level), draw, norm_of, norm_gradient, restarts, seed, tol, max_iter
+        classical_projection(n, level), draw, norm_of, norm_gradient, restarts, seed
     )

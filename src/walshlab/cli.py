@@ -64,6 +64,7 @@ from .walsh import (
     walsh_coefficients_naive,
     walsh_matrix,
     walsh_product_index,
+    walsh_stack,
     walsh_synthesize,
 )
 
@@ -265,11 +266,11 @@ def _suite_expectations(m: int, alpha: float, tol: float | None) -> list[CheckRo
 def _suite_identity(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
     spec = StateSpec(alpha, m)
     count = 4**m
-    walsh_stack = np.stack([walsh_matrix(j, m) for j in range(count)])
+    probes = walsh_stack(m)
     worst = 0.0
     for n in range(count - 1):
         for side in ("left", "right"):
-            _, norms = identity_residual(walsh_stack, n, spec, side)
+            _, norms = identity_residual(probes, n, spec, side)
             worst = max(worst, float(norms[0].max()))
     if alpha == 0.5:
         return [_assert_row("decomposition-identity(exhaustive)", worst, _pick(tol, 1e-12))]

@@ -93,29 +93,32 @@ def hermitian_eig(h, tol: float = HERMITICITY_TOL):
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values in descending order.
+    """Singular values in descending order, along the last axis for a stack.
 
     Taken from the SVD of x itself, not from the eigenvalues of x*x: squaring
     lets the small singular values of a column-scaled matrix vanish.
     """
-    return np.linalg.svd(as_matrix(x), compute_uv=False)
+    return np.linalg.svd(as_stack(x), compute_uv=False)
 
 
-def schatten_norm(x, p: float) -> float:
+def schatten_norm(x, p: float):
     """Schatten p-norm (sum of p-th powers of singular values)**(1/p).
 
     ``p = inf`` returns the operator norm.  Exponents below 1 are rejected.
+    A float for one matrix, an array of shape (...) for a (..., d, d) stack.
     """
     if p < 1:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
     s = singular_values(x)
     if np.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    if p == 1:
-        return float(s.sum())
-    if p == 2:
-        return float(np.sqrt((s * s).sum()))
-    return float((s**p).sum() ** (1.0 / p))
+        out = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    elif p == 1:
+        out = s.sum(axis=-1)
+    elif p == 2:
+        out = np.sqrt((s * s).sum(axis=-1))
+    else:
+        out = (s**p).sum(axis=-1) ** (1.0 / p)
+    return float(out) if s.ndim == 1 else out
 
 
 def psd_power(h, t) -> np.ndarray:

@@ -18,7 +18,6 @@ from .linalg import (
     as_stack,
     gaussian_matrix,
     level_of_dim,
-    schatten_norm,
     task_rng,
 )
 from .states import (
@@ -26,14 +25,17 @@ from .states import (
     SIDES,
     LpContext,
     StateSpec,
+    _similarity_top_value,
     batched_weighted_lp_norm,
     cond_expect,
     lp_norm,
     mart_diff,
     state_diagonal,
+    weight_scale,
+    weighted_lp_gradient,
     weighted_lp_norm,
 )
-from .walsh import PAPER, binary_digits, system_coefficients, system_synthesize, walsh_matrix
+from .walsh import PAPER, binary_digits, system_coefficients, system_synthesize, walsh_matrix, walsh_stack
 
 MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
 # The sign sweep holds every martingale difference of every probe at once;
@@ -42,6 +44,10 @@ MAX_SIGN_STACK_BYTES = 1 << 30
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
+
+# Stopping rule of the multi-start ascent: relative tolerance and iteration cap.
+ASCENT_TOL = 1e-6
+MAX_ASCENT_ITER = 400
 
 
 def matrix_unit_stack(dim: int) -> np.ndarray:
@@ -212,11 +218,7 @@ def identity_residual(
     else:
         lhs = px @ w
         wx = x @ w
-    rhs = cond_expect(wx, -1, spec)
-    for s, g in enumerate(binary_digits(n)):
-        if g:
-            rhs += mart_diff(wx, s, spec)
-    residual = lhs - rhs
+    residual = lhs - decomposition_handle(n, spec)(wx)
     norms = [lp_norm(residual, LpContext(p, spec, side)) for p in ps]
     return residual, norms
 
@@ -241,35 +243,17 @@ def exact_norm_p2(
     diagonalized by rescaled matrix units, so the norm is the top singular
     value of the similarity-transformed superoperator.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     w = _norm_weights(spec, weights)
     if np.any(w <= 0):
         raise ValueError("density must be positive definite")
     d = T.dim
-    root = np.sqrt(w)
-    scale = np.tile(root, d) if side == LEFT else np.repeat(root, d)
-    mat = T.matrix()
-    sim = (scale[:, None] * mat) / scale[None, :]
-    return NormReport(value=schatten_norm(sim, np.inf), method=EXACT2)
-
-
-def _schatten_subgradient(mat: np.ndarray, p: float) -> np.ndarray:
-    """Gradient of the Schatten p-norm at mat, zero singular modes omitted."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(mat)
-    if math.isinf(p):
-        return np.outer(u[:, 0], vh[0].conj())
-    keep = s > s[0] * 1e-14
-    s = s[keep]
-    value = (s**p).sum() ** (1.0 / p)
-    coeff = (s / value) ** (p - 1.0)
-    return (u[:, keep] * coeff) @ vh[keep]
+    # Matrix unit (i, j) in row-major vec order carries the weight of its column (left) or row (right).
+    root = np.broadcast_to(weight_scale(w, 2.0, side), (d, d)).ravel()
+    return NormReport(value=_similarity_top_value(T.matrix(), root), method=EXACT2)
 
 
 def multistart_ascent(
-    mat: np.ndarray, draw, norm_of, norm_gradient, restarts: int, seed: int, tol: float, max_iter: int
+    mat: np.ndarray, draw, norm_of, norm_gradient, restarts: int, seed: int, tol: float = ASCENT_TOL
 ) -> tuple[float, bool]:
     """Best ratio ||mat @ x|| / ||x|| found by multi-start normalized ascent on flat vectors.
 
@@ -277,7 +261,8 @@ def multistart_ascent(
     gradient of the ratio at ||x|| = 1, ``mat* norm_gradient(mat @ x) - value *
     norm_gradient(x)`` (the numerator gradient minus its component along the
     constraint), with 0.5-backtracking, and stops once five consecutive
-    iterations improve by less than ``tol`` relative.  Returns (best value,
+    iterations improve by less than ``tol`` relative, or after
+    ``MAX_ASCENT_ITER`` iterations.  Returns (best value,
     whether the best restart converged); the best value is always a valid
     lower bound of the operator norm.
     """
@@ -298,7 +283,7 @@ def multistart_ascent(
         converged = False
         step = 1.0
         quiet = 0
-        for _ in range(max_iter):
+        for _ in range(MAX_ASCENT_ITER):
             g = adj @ norm_gradient(mat @ x) - value * norm_gradient(x)
             gn = np.linalg.norm(g)
             if gn < 1e-300:
@@ -335,43 +320,31 @@ def estimate_norm_lp(
     ctx: LpContext | None = None,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = ASCENT_TOL,
     *,
     p: float | None = None,
     side: str | None = None,
     weights: np.ndarray | None = None,
-    max_iter: int = 400,
 ) -> NormReport:
     """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
     on its materialized matrix, from seeded Gaussian matrices."""
     if ctx is not None:
-        p = ctx.p
-        side = ctx.side
-        if weights is None:
-            weights = state_diagonal(ctx.state)
-    if p is None or side is None or weights is None:
+        p, side = ctx.p, ctx.side
+    if p is None or side is None:
         raise ValueError("estimate requires a context or explicit p/side/weights")
-    if p < 1:
-        raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    weights = np.asarray(weights, dtype=np.float64)
-
+    weights = _norm_weights(None if ctx is None else ctx.state, weights)
+    weight_scale(weights, p, side)  # rejects p < 1 and an unknown side before T.matrix()
     d = T.dim
-    # Column (left) or row (right) scaling by A^(1/p); the weight is 1 at p = inf.
-    wp = np.ones(d) if math.isinf(p) else weights ** (1.0 / p)
-    scale = wp[None, :] if side == LEFT else wp[:, None]
 
     def norm_of(v: np.ndarray) -> float:
         return weighted_lp_norm(v.reshape(d, d), weights, p, side)
 
     def norm_gradient(v: np.ndarray) -> np.ndarray:
-        # Euclidean gradient of the weighted Schatten norm at v.
-        return (_schatten_subgradient(v.reshape(d, d) * scale, p) * scale).ravel()
+        return weighted_lp_gradient(v.reshape(d, d), weights, p, side).ravel()
 
     value, converged = multistart_ascent(
         T.matrix(), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of, norm_gradient,
-        restarts, seed, tol, max_iter,
+        restarts, seed, tol,
     )
     return NormReport(
         value=value,
@@ -388,7 +361,6 @@ def basis_constant_row(
     method: str = EXACT2,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = 1e-6,
     mode: str = PAPER,
 ) -> BasisConstantRow:
     """One sweep cell: the norm of the n-th partial-sum projection plus the
@@ -407,8 +379,8 @@ def basis_constant_row(
         rep = exact_norm_p2(proj, spec, ctx.side)
         dep = exact_norm_p2(decomp, spec, ctx.side)
     else:
-        rep = estimate_norm_lp(proj, ctx, restarts=restarts, seed=seed + 2 * n, tol=tol)
-        dep = estimate_norm_lp(decomp, ctx, restarts=restarts, seed=seed + 2 * n + 1, tol=tol)
+        rep = estimate_norm_lp(proj, ctx, restarts=restarts, seed=seed + 2 * n)
+        dep = estimate_norm_lp(decomp, ctx, restarts=restarts, seed=seed + 2 * n + 1)
     return BasisConstantRow(
         n=n,
         p=ctx.p,
@@ -429,7 +401,6 @@ def basis_constant_sweep(
     method: str = EXACT2,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = 1e-6,
     mode: str = PAPER,
 ) -> list[BasisConstantRow]:
     """Norms of the partial-sum projections for n = 0..n_max.
@@ -439,7 +410,7 @@ def basis_constant_sweep(
     spec = ctx.state
     if not 0 <= n_max < 4**spec.m:
         raise ValueError(f"sweep bound {n_max} out of range for level m={spec.m}")
-    return [basis_constant_row(ctx, n, method, restarts, seed, tol, mode) for n in range(n_max + 1)]
+    return [basis_constant_row(ctx, n, method, restarts, seed, mode) for n in range(n_max + 1)]
 
 
 def _sign_patterns(count: int) -> np.ndarray:
@@ -493,7 +464,7 @@ def unconditionality_constant(
     d = spec.dim
     xs = np.concatenate(
         [
-            np.stack([walsh_matrix(n, spec.m) for n in range(4**spec.m)]),
+            walsh_stack(spec.m),
             matrix_unit_stack(d),
             np.stack([gaussian_matrix(d, task_rng(seed, k)) for k in range(trials)]),
         ]

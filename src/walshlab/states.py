@@ -112,48 +112,75 @@ def rho_value(x, spec: StateSpec):
     return np.diagonal(x, axis1=-2, axis2=-1) @ state_diagonal(spec)
 
 
-def weighted_lp_norm(x, weights: np.ndarray, p: float, side: str = LEFT) -> float:
-    """Tr(|x A^(1/p)|^p)^(1/p) (left) or the mirrored right version.
+def weight_scale(weights, p: float, side: str = LEFT) -> np.ndarray:
+    """Factor that applies the density's weight for a weighted p-norm by broadcasting.
 
-    ``weights`` is the diagonal of the density A.  p = inf returns the plain
-    operator norm for both sides.
+    ``weights`` is the diagonal of the density A.  Left side: A^(1/p) as a
+    row, scaling columns; right side: as a column, scaling rows.  At p = inf
+    the weight is 1.  This is the one place the scaling rule lives.
     """
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    x = as_matrix(x)
-    if math.isinf(p):
-        return schatten_norm(x, np.inf)
-    w = np.asarray(weights, dtype=np.float64) ** (1.0 / p)
-    scaled = x * w[np.newaxis, :] if side == LEFT else x * w[:, np.newaxis]
-    return schatten_norm(scaled, p)
+    w = np.asarray(weights, dtype=np.float64)
+    w = np.ones_like(w) if math.isinf(p) else w ** (1.0 / p)
+    return w[np.newaxis, :] if side == LEFT else w[:, np.newaxis]
 
 
-def batched_weighted_lp_norm(xs: np.ndarray, weights: np.ndarray, p: float, side: str = LEFT) -> np.ndarray:
-    """weighted_lp_norm over a stack of matrices (batch SVD under the hood)."""
-    if p < 1:
-        raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    xs = np.asarray(xs, dtype=np.complex128)
+def batched_weighted_lp_norm(xs, weights: np.ndarray, p: float, side: str = LEFT) -> np.ndarray:
+    """Tr(|x A^(1/p)|^p)^(1/p) (left) or the mirrored right version, matrix by matrix.
+
+    ``weights`` is the diagonal of the density A; p = inf gives the plain
+    operator norm for both sides.  Always an ndarray: shape () for one
+    matrix, (...) for a (..., d, d) stack.
+    """
+    return np.asarray(schatten_norm(as_stack(xs) * weight_scale(weights, p, side), p))
+
+
+def weighted_lp_norm(x, weights: np.ndarray, p: float, side: str = LEFT) -> float:
+    """batched_weighted_lp_norm of one matrix, as a float."""
+    return float(batched_weighted_lp_norm(as_matrix(x), weights, p, side))
+
+
+def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> np.ndarray:
+    """Euclidean gradient of weighted_lp_norm at one matrix x.
+
+    The Schatten subgradient of the scaled matrix, scaled back.  Singular
+    modes below 1e-14 of the top one are omitted, so the norm value inside is
+    taken over the kept modes; at p = inf it follows the top singular pair.
+    """
+    scale = weight_scale(weights, p, side)
+    scaled = as_matrix(x) * scale
+    u, s, vh = np.linalg.svd(scaled, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros_like(scaled)
     if math.isinf(p):
-        s = np.linalg.svd(xs, compute_uv=False)
-        return s[..., 0]
-    w = np.asarray(weights, dtype=np.float64) ** (1.0 / p)
-    scaled = xs * w[np.newaxis, np.newaxis, :] if side == LEFT else xs * w[np.newaxis, :, np.newaxis]
-    s = np.linalg.svd(scaled, compute_uv=False)
-    if p == 2:
-        return np.sqrt((s * s).sum(axis=-1))
-    return ((s**p).sum(axis=-1)) ** (1.0 / p)
+        grad = np.outer(u[:, 0], vh[0].conj())
+    else:
+        keep = s > s[0] * 1e-14
+        s = s[keep]
+        value = (s**p).sum() ** (1.0 / p)
+        coeff = (s / value) ** (p - 1.0)
+        grad = (u[:, keep] * coeff) @ vh[keep]
+    return grad * scale
+
+
+def _similarity_top_value(mat: np.ndarray, root: np.ndarray) -> float:
+    """Top singular value of diag(root) mat diag(root)^-1.
+
+    The operator norm of ``mat`` for the inner product sum_k root_k**2
+    conj(x_k) y_k, in which the unit vectors scaled by 1/root are orthonormal.
+    """
+    return schatten_norm((root[:, np.newaxis] * mat) / root[np.newaxis, :], np.inf)
 
 
 def lp_norm(x, ctx: LpContext) -> float | np.ndarray:
     """Weighted norm in the given context: a float for one matrix, shape (...) for a stack."""
     x = as_stack(x)
     _check_dim(x, ctx.state)
-    weights = state_diagonal(ctx.state)
-    if x.ndim == 2:
-        return weighted_lp_norm(x, weights, ctx.p, ctx.side)
-    return batched_weighted_lp_norm(x, weights, ctx.p, ctx.side)
+    value = batched_weighted_lp_norm(x, state_diagonal(ctx.state), ctx.p, ctx.side)
+    return float(value) if value.ndim == 0 else value
 
 
 def modular_flow(x, t: float, spec: StateSpec) -> np.ndarray:

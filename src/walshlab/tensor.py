@@ -18,7 +18,6 @@ from .states import (
     LEFT,
     StateSpec,
     _expectation_maps,
-    slice_kernel,
     state_diagonal,
     weighted_lp_norm,
 )
@@ -79,7 +78,7 @@ def double_walsh(n: int, ctx: TensorContext) -> np.ndarray:
             f"shell position {n} -> pair {(i, j)} outside levels "
             f"({ctx.first.m}, {ctx.second.m})"
         )
-    return kron(walsh_matrix(i, ctx.first.m), walsh_matrix(j, ctx.second.m))
+    return walsh_matrix(i + (j << 2 * ctx.first.m), ctx.level)
 
 
 def joint_coefficients(x, ctx: TensorContext) -> np.ndarray:
@@ -97,14 +96,16 @@ def joint_synthesize(coeffs: np.ndarray, ctx: TensorContext) -> np.ndarray:
     return walsh_synthesize(coeffs.reshape(coeffs.shape[:-2] + (-1,)), ctx.level)
 
 
-def _block_slices(ctx: TensorContext, side: str) -> dict[int, np.ndarray]:
-    if side == "first":
-        kernel = slice_kernel(ctx.second.alpha)
-        return {ctx.first.m + t: kernel for t in range(ctx.second.m)}
-    if side == "second":
-        kernel = slice_kernel(ctx.first.alpha)
-        return {t: kernel for t in range(ctx.first.m)}
-    raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+def _shell_positions(ctx: TensorContext) -> np.ndarray:
+    """Shell position of every pair, shaped like the joint coefficients: entry [j, i]."""
+    i = np.arange(4**ctx.first.m)[np.newaxis, :]
+    j = np.arange(4**ctx.second.m)[:, np.newaxis]
+    return np.where(i <= j, j * j + i, (i + 1) * (i + 1) - j - 1)
+
+
+def _keep_coefficients(x, mask: np.ndarray, ctx: TensorContext) -> np.ndarray:
+    """Resynthesize x (or each matrix of a stack) from its joint coefficients where mask[j, i] holds."""
+    return joint_synthesize(np.where(mask, joint_coefficients(x, ctx), 0.0), ctx)
 
 
 def factor_expectation(x, side: str, ctx: TensorContext) -> np.ndarray:
@@ -116,7 +117,13 @@ def factor_expectation(x, side: str, ctx: TensorContext) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[0] != ctx.dim:
         raise ValueError(f"matrix dimension {x.shape[0]} does not match context dim {ctx.dim}")
-    return apply_factor_maps(x, _block_slices(ctx, side), ctx.level)
+    if side == "first":
+        maps = _expectation_maps(-1, ctx.second, offset=ctx.first.m)
+    elif side == "second":
+        maps = _expectation_maps(-1, ctx.first)
+    else:
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    return apply_factor_maps(x, maps, ctx.level)
 
 
 def factor_projection(x, side: str, j: int, ctx: TensorContext) -> np.ndarray:
@@ -152,30 +159,19 @@ def fsum_partial(x, n: int, ctx: TensorContext, side: str = "second") -> np.ndar
 
 def first_truncation(x, s: int, ctx: TensorContext) -> np.ndarray:
     """Keep joint coefficients with first-block index <= s."""
-    coeffs = joint_coefficients(x, ctx)
-    coeffs[:, s + 1 :] = 0.0
-    return joint_synthesize(coeffs, ctx)
+    return _keep_coefficients(x, np.arange(4**ctx.first.m)[np.newaxis, :] <= s, ctx)
 
 
 def second_truncation(x, s: int, ctx: TensorContext) -> np.ndarray:
     """Keep joint coefficients with second-block index <= s."""
-    coeffs = joint_coefficients(x, ctx)
-    coeffs[s + 1 :, :] = 0.0
-    return joint_synthesize(coeffs, ctx)
+    return _keep_coefficients(x, np.arange(4**ctx.second.m)[:, np.newaxis] <= s, ctx)
 
 
 def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
     """Keep the joint coefficients at shell positions 0..n, matrix by matrix on a stack."""
     if not 0 <= n <= max_shell_index(ctx):
         raise ValueError(f"shell position {n} out of range for context (max {max_shell_index(ctx)})")
-    coeffs = joint_coefficients(x, ctx)
-    imax, jmax = 4**ctx.first.m, 4**ctx.second.m
-    mask = np.zeros((jmax, imax), dtype=bool)
-    for k in range(n + 1):
-        i, j = shell_pair(k)
-        if i < imax and j < jmax:
-            mask[j, i] = True
-    return joint_synthesize(np.where(mask, coeffs, 0.0), ctx)
+    return _keep_coefficients(x, _shell_positions(ctx) <= n, ctx)
 
 
 def second_cond_expect(x, s: int, ctx: TensorContext) -> np.ndarray:
@@ -221,14 +217,8 @@ def shell_decomposition_check(x, n: int, ctx: TensorContext, ps: tuple = (2.0,),
         square = np.zeros_like(total)
     else:
         square = first_truncation(second_truncation(x, l - 1, ctx), l - 1, ctx)
-    coeffs = joint_coefficients(x, ctx)
-    strip = np.zeros_like(coeffs)
-    imax, jmax = 4**ctx.first.m, 4**ctx.second.m
-    for k in range(l * l, n + 1):
-        i, j = shell_pair(k)
-        if i < imax and j < jmax:
-            strip[j, i] = coeffs[j, i]
-    remainder = joint_synthesize(strip, ctx)
+    positions = _shell_positions(ctx)
+    remainder = _keep_coefficients(x, (positions >= l * l) & (positions <= n), ctx)
     weights = ctx.joint_weights()
     return ShellDecompositionReport(
         n=n,

@@ -264,10 +264,18 @@ def coefficients_to_json(c, m: int) -> dict:
     return {"m": m, "re": c.real.tolist(), "im": c.imag.tolist()}
 
 
+def walsh_stack(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
+    """All 4**m system matrices as a (4**m, 2**m, 2**m) stack, entry n = w_n.
+
+    One synthesis of the unit coefficient vectors.
+    """
+    return system_synthesize(np.eye(4**m, dtype=np.complex128), m, alpha, mode)
+
+
 def gram_matrix(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Normalized-trace Gram matrix of the level-m system (orthonormal in paper mode).
 
     Entry (a, b) is Tr(w_a* w_b) / 2**m, one product of the flattened system.
     """
-    flat = np.stack([walsh_matrix(n, m, alpha, mode).ravel() for n in range(4**m)])
+    flat = walsh_stack(m, alpha, mode).reshape(4**m, -1)
     return (flat.conj() @ flat.T) / 2**m

@@ -8,12 +8,15 @@ from walshlab.linalg import gns_inner, schatten_norm
 from walshlab.states import (
     LpContext,
     StateSpec,
+    batched_weighted_lp_norm,
     cond_expect,
     lp_norm,
     mart_diff,
     modular_flow,
     rho_value,
     state_density,
+    state_diagonal,
+    weighted_lp_gradient,
     weighted_lp_norm,
 )
 from walshlab.walsh import block_support, walsh_coefficients, walsh_matrix
@@ -242,7 +245,60 @@ def test_even_step_leak_is_recorded_below_block():
 
 
 def test_weighted_lp_norm_rejects():
-    with pytest.raises(ValueError):
-        weighted_lp_norm(np.eye(2), np.array([0.5, 0.5]), 0.3)
-    with pytest.raises(ValueError):
-        weighted_lp_norm(np.eye(2), np.array([0.5, 0.5]), 2.0, side="middle")
+    w = np.array([0.5, 0.5])
+    xs = np.stack([np.eye(2), np.eye(2)])
+    for norm in (weighted_lp_norm, batched_weighted_lp_norm, weighted_lp_gradient):
+        x = xs if norm is batched_weighted_lp_norm else xs[0]
+        with pytest.raises(ValueError):
+            norm(x, w, 0.3)
+        for p in (3.0, np.inf):
+            with pytest.raises(ValueError):
+                norm(x, w, p, "middle")
+
+
+def _same_norm(stacked, one, p) -> bool:
+    # The final root (sum)**(1/p) of one matrix is a scalar power, of a stack an
+    # array power; NumPy's vectorized pow may round the last bit differently.
+    if p in (1.0, 2.0, np.inf):
+        return stacked == one
+    return abs(stacked - one) <= 4 * np.finfo(float).eps * one
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_stacked_norms_equal_per_matrix_loop(batch):
+    # One Schatten sum and one norm body serve one matrix and a stack.
+    spec = StateSpec(0.3, 2)
+    w = state_diagonal(spec)
+    count = int(np.prod(batch, dtype=int))
+    xs = np.stack([random_matrix(2, 500 + k) for k in range(count)]).reshape(batch + (4, 4))
+    for p in PS:
+        schatten = schatten_norm(xs, p)
+        assert isinstance(schatten, float) if batch == () else schatten.shape == batch
+        for idx in np.ndindex(batch):
+            assert _same_norm(np.asarray(schatten)[idx], schatten_norm(xs[idx], p), p)
+        for side in ("left", "right"):
+            ctx = LpContext(p, spec, side)
+            stacked = batched_weighted_lp_norm(xs, w, p, side)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == batch
+            values = lp_norm(xs, ctx)
+            assert isinstance(values, float) if batch == () else values.shape == batch
+            for idx in np.ndindex(batch):
+                one = weighted_lp_norm(xs[idx], w, p, side)
+                assert lp_norm(xs[idx], ctx) == one
+                assert _same_norm(stacked[idx], one, p)
+                assert _same_norm(np.asarray(values)[idx], one, p)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_weighted_lp_gradient_matches_finite_differences(p, side):
+    w = state_diagonal(StateSpec(0.3, 2))
+    x = random_matrix(2, 61)
+    grad = weighted_lp_gradient(x, w, p, side)
+    h = 1e-6
+    for k in range(4):
+        e = random_matrix(2, 620 + k)
+        for direction in (e.real, 1j * e.imag):
+            fd = (weighted_lp_norm(x + h * direction, w, p, side)
+                  - weighted_lp_norm(x - h * direction, w, p, side)) / (2 * h)
+            assert abs(np.sum(grad.conj() * direction).real - fd) <= 1e-7 * max(1.0, abs(fd))

@@ -62,6 +62,12 @@ def test_double_walsh_examples():
     assert np.array_equal(double_walsh(1, CTX11), np.kron(np.eye(2), np.diag([1, -1])))
     with pytest.raises(ValueError):
         double_walsh(16, CTX11)
+    for m1, m2 in ((1, 2), (2, 1)):
+        ctx = TensorContext(StateSpec(0.3, m1), StateSpec(0.1, m2))
+        for n in range(max_shell_index(ctx) + 1):
+            i, j = shell_pair(n)
+            if i < 4**m1 and j < 4**m2:
+                assert np.array_equal(double_walsh(n, ctx), np.kron(W(i, m1), W(j, m2))), (m1, m2, n)
 
 
 def test_double_walsh_orthonormal_and_unitary():

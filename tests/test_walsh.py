@@ -22,6 +22,7 @@ from walshlab.walsh import (
     walsh_coefficients_naive,
     walsh_matrix,
     walsh_product_index,
+    walsh_stack,
     walsh_synthesize,
 )
 
@@ -130,6 +131,14 @@ def test_gram_orthonormal_small_levels():
     for m in (1, 2, 3):
         g = gram_matrix(m)
         assert np.max(np.abs(g - np.eye(4**m))) < 1e-12
+
+
+@pytest.mark.parametrize("mode", [PAPER, MEANZERO])
+def test_walsh_stack_equals_per_index_matrices(mode):
+    for alpha in (0.5, 0.3, 0.02):
+        for m in (1, 2, 3, 4):
+            per_index = np.stack([walsh_matrix(n, m, alpha, mode) for n in range(4**m)])
+            assert np.array_equal(walsh_stack(m, alpha, mode), per_index), (alpha, m)
 
 
 @pytest.mark.parametrize("mode", [PAPER, MEANZERO])
