@@ -61,7 +61,6 @@ from .tensor import (
     tensor_partial_sum,
 )
 from .classical import (
-    DyadicWeightTable,
     StepFunction,
     classical_walsh_values,
     diag_index_map,

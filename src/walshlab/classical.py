@@ -43,15 +43,6 @@ class StepFunction:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class DyadicWeightTable:
-    """Biased interval masses at one dyadic level."""
-
-    level: int
-    alpha: float
-    weights: np.ndarray
-
-
 def mu_weight(k: int, level: int, alpha: float) -> float:
     """Mass of the k-th dyadic interval under the product-Bernoulli measure."""
     if not 0 <= k < (1 << level):
@@ -65,11 +56,9 @@ def mu_weight(k: int, level: int, alpha: float) -> float:
     return out
 
 
-def dyadic_weights(level: int, alpha: float) -> DyadicWeightTable:
+def dyadic_weights(level: int, alpha: float) -> np.ndarray:
     """All interval masses at one level (the diagonal of the product density)."""
-    return DyadicWeightTable(
-        level=level, alpha=alpha, weights=state_diagonal(StateSpec(alpha, level))
-    )
+    return state_diagonal(StateSpec(alpha, level))
 
 
 def _walsh_signs(ns, level: int) -> np.ndarray:
@@ -103,18 +92,23 @@ def diag_to_step(x) -> StepFunction:
 
 
 def _weighted_vector_norm(v: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum |v_k|**p w_k)**(1/p); p = inf gives max |v_k|."""
+    """(sum |v_k|**p w_k)**(1/p); p = inf gives max |v_k|.
+
+    Taken as top * (sum (|v_k|/top)**p w_k)**(1/p) with top = max |v_k|, so
+    that the powers stay in float range at large p.
+    """
     mags = np.abs(v)
-    if math.isinf(p):
-        return float(mags.max())
-    return float(((mags**p) * weights).sum() ** (1.0 / p))
+    top = mags.max()
+    if math.isinf(p) or top == 0.0:
+        return float(top)
+    return float(top * np.dot((mags / top) ** p, weights) ** (1.0 / p))
 
 
 def step_lp_norm(f: StepFunction, p: float, alpha: float) -> float:
     """Weighted L^p norm of a step function; p = inf gives the sup of |f|."""
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    return _weighted_vector_norm(f.values, dyadic_weights(f.level, alpha).weights, p)
+    return _weighted_vector_norm(f.values, dyadic_weights(f.level, alpha), p)
 
 
 def diag_index_map(n: int) -> int:
@@ -143,13 +137,7 @@ def classical_basis_matrix(level: int) -> np.ndarray:
 
 def classical_partial_sum(f: StepFunction, n: int) -> StepFunction:
     """Keep series coefficients 0..n of the step function."""
-    dim = 1 << f.level
-    if not 0 <= n < dim:
-        raise ValueError(f"partial-sum index {n} out of range for level {f.level}")
-    basis = classical_basis_matrix(f.level)
-    coeffs = np.linalg.solve(basis, f.values)
-    coeffs[n + 1 :] = 0.0
-    return StepFunction(level=f.level, values=basis @ coeffs)
+    return StepFunction(level=f.level, values=classical_projection(n, f.level) @ f.values)
 
 
 def classical_projection(n: int, level: int) -> np.ndarray:
@@ -167,7 +155,7 @@ def classical_projection(n: int, level: int) -> np.ndarray:
 def classical_norm_exact2(n: int, level: int, alpha: float) -> float:
     """Exact weighted-L^2 norm of the classical partial-sum projection."""
     # A step function is a diagonal matrix: interval k carries the weight of column k.
-    root = weight_scale(dyadic_weights(level, alpha).weights, 2.0, LEFT).ravel()
+    root = weight_scale(dyadic_weights(level, alpha), 2.0, LEFT).ravel()
     return _similarity_top_value(classical_projection(n, level), root)
 
 
@@ -186,7 +174,7 @@ def classical_norm_estimate(
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
     dim = 1 << level
-    weights = dyadic_weights(level, alpha).weights
+    weights = dyadic_weights(level, alpha)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -202,10 +190,13 @@ def classical_norm_estimate(
             if mags[k] > 0:
                 out[k] = v[k] / mags[k]
             return out
-        value = norm_of(v)
-        if value == 0.0:
+        top = mags.max()
+        if top == 0.0:
             return np.zeros_like(v)
-        scale = weights * np.where(mags > 0, mags, 1.0) ** (p - 2.0) / value ** (p - 1.0)
+        # weights * |v|**(p-2) / value**(p-1), with max |v| factored out of both powers.
+        ratios = mags / top
+        rel_value = np.dot(ratios**p, weights) ** (1.0 / p)
+        scale = weights * np.where(mags > 0, ratios, 1.0) ** (p - 2.0) / (rel_value ** (p - 1.0) * top)
         return scale * v
 
     return multistart_ascent(

@@ -577,20 +577,14 @@ def _cmd_tensor_sweep(args, argv) -> int:
     if args.p != 2 and args.seed is None:
         raise ValueError("--seed is required for the stochastic estimate at p != 2")
     seed = args.seed if args.seed is not None else 0
-    weights = ctx.joint_weights()
 
     def cell(n: int):
         handle = OperatorHandle(ctx.dim, lambda x: tensor_partial_sum(x, n, ctx), f"Q[{n}]")
         if args.p == 2:
-            value = exact_norm_p2(handle, weights=weights).value
+            value = exact_norm_p2(handle, ctx).value
         else:
             value = estimate_norm_lp(
-                handle,
-                restarts=args.restarts,
-                seed=seed + n,
-                p=args.p,
-                side="left",
-                weights=weights,
+                handle, LpContext(args.p, ctx), restarts=args.restarts, seed=seed + n
             ).value
         i, j = shell_pair(n)
         return [n, i, j, args.alpha, args.alpha2, args.p, value]

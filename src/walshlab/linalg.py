@@ -106,6 +106,9 @@ def schatten_norm(x, p: float):
 
     ``p = inf`` returns the operator norm.  Exponents below 1 are rejected.
     A float for one matrix, an array of shape (...) for a (..., d, d) stack.
+    At p other than 1, 2 and inf the top singular value is factored out,
+    top * (sum (s/top)**p)**(1/p), so that the powers stay in float range at
+    large p.
     """
     if p < 1:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
@@ -117,7 +120,9 @@ def schatten_norm(x, p: float):
     elif p == 2:
         out = np.sqrt((s * s).sum(axis=-1))
     else:
-        out = (s**p).sum(axis=-1) ** (1.0 / p)
+        # A zero matrix divides by the smallest normal float instead of 0.
+        top = np.maximum(s[..., :1], np.finfo(np.float64).tiny)
+        out = top[..., 0] * ((s / top) ** p).sum(axis=-1) ** (1.0 / p)
     return float(out) if s.ndim == 1 else out
 
 

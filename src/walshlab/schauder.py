@@ -223,27 +223,14 @@ def identity_residual(
     return residual, norms
 
 
-def _norm_weights(spec: StateSpec | None, weights) -> np.ndarray:
-    if weights is not None:
-        return np.asarray(weights, dtype=np.float64)
-    if spec is None:
-        raise ValueError("either a state spec or an explicit weight vector is required")
-    return state_diagonal(spec)
-
-
-def exact_norm_p2(
-    T: OperatorHandle,
-    spec: StateSpec | None = None,
-    side: str = LEFT,
-    weights: np.ndarray | None = None,
-) -> NormReport:
-    """Exact operator norm of T on the weighted p=2 matrix space.
+def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormReport:
+    """Exact operator norm of T on the weighted p=2 matrix space of the state.
 
     The weighted inner product Tr(x* y A) (left) or Tr(x* A y) (right) is
     diagonalized by rescaled matrix units, so the norm is the top singular
     value of the similarity-transformed superoperator.
     """
-    w = _norm_weights(spec, weights)
+    w = state_diagonal(spec)
     if np.any(w <= 0):
         raise ValueError("density must be positive definite")
     d = T.dim
@@ -317,24 +304,15 @@ def multistart_ascent(
 
 def estimate_norm_lp(
     T: OperatorHandle,
-    ctx: LpContext | None = None,
+    ctx: LpContext,
     restarts: int = 32,
     seed: int = 0,
     tol: float = ASCENT_TOL,
-    *,
-    p: float | None = None,
-    side: str | None = None,
-    weights: np.ndarray | None = None,
 ) -> NormReport:
     """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
     on its materialized matrix, from seeded Gaussian matrices."""
-    if ctx is not None:
-        p, side = ctx.p, ctx.side
-    if p is None or side is None:
-        raise ValueError("estimate requires a context or explicit p/side/weights")
-    weights = _norm_weights(None if ctx is None else ctx.state, weights)
-    weight_scale(weights, p, side)  # rejects p < 1 and an unknown side before T.matrix()
-    d = T.dim
+    weights = state_diagonal(ctx.state)
+    p, side, d = ctx.p, ctx.side, T.dim
 
     def norm_of(v: np.ndarray) -> float:
         return weighted_lp_norm(v.reshape(d, d), weights, p, side)

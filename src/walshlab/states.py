@@ -5,8 +5,13 @@ differences.
 The filtration step s runs over [-1, 2m-1].  Step 2t-1 keeps the first t
 tensor factors in full; step 2t additionally admits the diagonal of factor t.
 The state-preserving expectation onto step s therefore slices every factor
-beyond the kept range with the one-factor state and, at even s, pinches
+beyond the kept range with that factor's state and, at even s, pinches
 factor s/2 to its diagonal.
+
+A state is its per-factor bias list: factor j has density
+diag(b_j, 1 - b_j).  Everything here reads a state only through ``m``,
+``dim`` and ``biases``, so a ``tensor.TensorContext`` (two blocks of factors
+with their own biases) is a state as much as a ``StateSpec`` is.
 
 ``rho_value``, ``cond_expect`` and ``mart_diff`` act on one matrix or on a
 stack of shape (..., 2**m, 2**m), matrix by matrix.
@@ -56,10 +61,15 @@ class StateSpec:
         """Modular spectrum parameter alpha / (1 - alpha)."""
         return self.alpha / (1.0 - self.alpha)
 
+    @property
+    def biases(self) -> tuple[float, ...]:
+        """Bias of each tensor factor, factor 0 first."""
+        return (self.alpha,) * self.m
+
 
 @dataclass(frozen=True)
 class LpContext:
-    """Exponent p in [1, inf], state, and injection side for the norm."""
+    """Exponent p in [1, inf], state (a StateSpec or a TensorContext), and injection side."""
 
     p: float
     state: StateSpec
@@ -88,10 +98,10 @@ def slice_kernel(alpha: float) -> np.ndarray:
 
 def state_diagonal(spec: StateSpec) -> np.ndarray:
     """Diagonal of the product density, factor-0 bit most significant."""
-    base = np.array([spec.alpha, 1.0 - spec.alpha])
-    diag = base
-    for _ in range(spec.m - 1):
-        diag = np.kron(diag, base)
+    first, *rest = spec.biases
+    diag = np.array([first, 1.0 - first])
+    for b in rest:
+        diag = np.multiply.outer(diag, (b, 1.0 - b)).ravel()
     return diag
 
 
@@ -149,6 +159,8 @@ def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> 
     The Schatten subgradient of the scaled matrix, scaled back.  Singular
     modes below 1e-14 of the top one are omitted, so the norm value inside is
     taken over the kept modes; at p = inf it follows the top singular pair.
+    The mode weights (s / value)**(p-1) are formed from s / s[0], which keeps
+    them in float range at large p.
     """
     scale = weight_scale(weights, p, side)
     scaled = as_matrix(x) * scale
@@ -159,9 +171,8 @@ def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> 
         grad = np.outer(u[:, 0], vh[0].conj())
     else:
         keep = s > s[0] * 1e-14
-        s = s[keep]
-        value = (s**p).sum() ** (1.0 / p)
-        coeff = (s / value) ** (p - 1.0)
+        ratios = s[keep] / s[0]
+        coeff = (ratios / (ratios**p).sum() ** (1.0 / p)) ** (p - 1.0)
         grad = (u[:, keep] * coeff) @ vh[keep]
     return grad * scale
 
@@ -192,13 +203,14 @@ def modular_flow(x, t: float, spec: StateSpec) -> np.ndarray:
     return x * np.outer(phase, phase.conj())
 
 
-def _expectation_maps(s: int, spec: StateSpec, offset: int = 0) -> dict[int, np.ndarray]:
-    """Factor maps of the expectation onto step s, for a state placed at factors offset.."""
+def _expectation_maps(s: int, spec: StateSpec) -> dict[int, np.ndarray]:
+    """Factor maps of the expectation onto step s: one slice kernel per distinct bias."""
     kept = (s + 1 + 1) // 2  # ceil((s+1)/2): factors 0..kept-1 stay untouched
-    kernel = slice_kernel(spec.alpha)
-    maps: dict[int, np.ndarray] = {offset + j: kernel for j in range(kept, spec.m)}
+    sliced = spec.biases[kept:]
+    kernels = {b: slice_kernel(b) for b in set(sliced)}
+    maps: dict[int, np.ndarray] = {kept + j: kernels[b] for j, b in enumerate(sliced)}
     if s % 2 == 0:
-        maps[offset + s // 2] = PINCH_KERNEL
+        maps[s // 2] = PINCH_KERNEL
     return maps
 
 

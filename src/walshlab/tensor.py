@@ -1,9 +1,14 @@
 """Two-factor tensor model: shell enumeration of pair indices, doubly indexed
-Walsh matrices, one-factor expectations and projections, and residual checks
-for the tensor partial-sum machinery.
+Walsh matrices, one-factor projections, and residual checks for the tensor
+partial-sum machinery.
 
 Pairs (i, j) are ordered by expanding square shells; shell l fills the index
 interval [l**2, (l+1)**2) by walking up column j = l and back down row i = l.
+
+A ``TensorContext`` is one product state on m1 + m2 factors whose bias
+changes at factor m1, so the filtration and norms of ``states`` act on it
+directly: the second block's step s is the joint step 2*m1 + s, and the
+joint step 2*m1 - 1 is the expectation onto the first block.
 """
 
 from __future__ import annotations
@@ -13,34 +18,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_factor_maps, as_matrix, as_stack, kron
+from .linalg import apply_factor_maps, as_matrix, as_stack
 from .states import (
     LEFT,
+    LpContext,
     StateSpec,
     _expectation_maps,
-    state_diagonal,
-    weighted_lp_norm,
+    cond_expect,
+    lp_norm,
+    mart_diff,
 )
 from .walsh import binary_digits, walsh_coefficients, walsh_matrix, walsh_synthesize
 
 
 @dataclass(frozen=True)
 class TensorContext:
-    """Pair of biased states acting on the two tensor blocks."""
+    """Pair of biased states acting on the two tensor blocks: one product state on m1 + m2 factors."""
 
     first: StateSpec
     second: StateSpec
 
     @property
-    def level(self) -> int:
+    def m(self) -> int:
         return self.first.m + self.second.m
 
     @property
     def dim(self) -> int:
-        return 1 << self.level
+        return 1 << self.m
 
-    def joint_weights(self) -> np.ndarray:
-        return np.kron(state_diagonal(self.first), state_diagonal(self.second))
+    @property
+    def biases(self) -> tuple[float, ...]:
+        return self.first.biases + self.second.biases
 
 
 def shell_index(i: int, j: int) -> int:
@@ -78,7 +86,7 @@ def double_walsh(n: int, ctx: TensorContext) -> np.ndarray:
             f"shell position {n} -> pair {(i, j)} outside levels "
             f"({ctx.first.m}, {ctx.second.m})"
         )
-    return walsh_matrix(i + (j << 2 * ctx.first.m), ctx.level)
+    return walsh_matrix(i + (j << 2 * ctx.first.m), ctx.m)
 
 
 def joint_coefficients(x, ctx: TensorContext) -> np.ndarray:
@@ -93,7 +101,7 @@ def joint_coefficients(x, ctx: TensorContext) -> np.ndarray:
 def joint_synthesize(coeffs: np.ndarray, ctx: TensorContext) -> np.ndarray:
     """Inverse of joint_coefficients."""
     coeffs = np.asarray(coeffs)
-    return walsh_synthesize(coeffs.reshape(coeffs.shape[:-2] + (-1,)), ctx.level)
+    return walsh_synthesize(coeffs.reshape(coeffs.shape[:-2] + (-1,)), ctx.m)
 
 
 def _shell_positions(ctx: TensorContext) -> np.ndarray:
@@ -118,12 +126,10 @@ def factor_expectation(x, side: str, ctx: TensorContext) -> np.ndarray:
     if x.shape[0] != ctx.dim:
         raise ValueError(f"matrix dimension {x.shape[0]} does not match context dim {ctx.dim}")
     if side == "first":
-        maps = _expectation_maps(-1, ctx.second, offset=ctx.first.m)
-    elif side == "second":
-        maps = _expectation_maps(-1, ctx.first)
-    else:
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return apply_factor_maps(x, maps, ctx.level)
+        return cond_expect(x, 2 * ctx.first.m - 1, ctx)
+    if side == "second":
+        return apply_factor_maps(x, _expectation_maps(-1, ctx.first), ctx.m)
+    raise ValueError(f"side must be 'first' or 'second', got {side!r}")
 
 
 def factor_projection(x, side: str, j: int, ctx: TensorContext) -> np.ndarray:
@@ -137,12 +143,12 @@ def factor_projection(x, side: str, j: int, ctx: TensorContext) -> np.ndarray:
     if side == "second":
         if not 0 <= j < 4**ctx.second.m:
             raise ValueError(f"index {j} out of range for second-block level {ctx.second.m}")
-        v = kron(np.eye(1 << ctx.first.m, dtype=np.complex128), walsh_matrix(j, ctx.second.m))
+        v = walsh_matrix(j << 2 * ctx.first.m, ctx.m)
         inner = factor_expectation(v.conj().T @ x, "first", ctx)
     elif side == "first":
         if not 0 <= j < 4**ctx.first.m:
             raise ValueError(f"index {j} out of range for first-block level {ctx.first.m}")
-        v = kron(walsh_matrix(j, ctx.first.m), np.eye(1 << ctx.second.m, dtype=np.complex128))
+        v = walsh_matrix(j, ctx.m)
         inner = factor_expectation(v.conj().T @ x, "second", ctx)
     else:
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
@@ -174,23 +180,6 @@ def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
     return _keep_coefficients(x, _shell_positions(ctx) <= n, ctx)
 
 
-def second_cond_expect(x, s: int, ctx: TensorContext) -> np.ndarray:
-    """Expectation id (x) E_s acting inside the second tensor block."""
-    x = as_matrix(x)
-    m2 = ctx.second.m
-    if not -1 <= s <= 2 * m2 - 1:
-        raise ValueError(f"filtration step {s} out of range [-1, {2 * m2 - 1}]")
-    # At s = -1 the maps slice the whole second block: the expectation onto the first.
-    return apply_factor_maps(x, _expectation_maps(s, ctx.second, offset=ctx.first.m), ctx.level)
-
-
-def second_mart_diff(x, s: int, ctx: TensorContext) -> np.ndarray:
-    """Difference id (x) (E_s - E_{s-1}) on the second block."""
-    if not 0 <= s <= 2 * ctx.second.m - 1:
-        raise ValueError(f"difference step {s} out of range [0, {2 * ctx.second.m - 1}]")
-    return second_cond_expect(x, s, ctx) - second_cond_expect(x, s - 1, ctx)
-
-
 @dataclass
 class ShellDecompositionReport:
     n: int
@@ -219,13 +208,12 @@ def shell_decomposition_check(x, n: int, ctx: TensorContext, ps: tuple = (2.0,),
         square = first_truncation(second_truncation(x, l - 1, ctx), l - 1, ctx)
     positions = _shell_positions(ctx)
     remainder = _keep_coefficients(x, (positions >= l * l) & (positions <= n), ctx)
-    weights = ctx.joint_weights()
     return ShellDecompositionReport(
         n=n,
         shell=l,
         residual=float(np.max(np.abs(total - square - remainder))),
-        square_norms=[weighted_lp_norm(square, weights, p, side) for p in ps],
-        remainder_norms=[weighted_lp_norm(remainder, weights, p, side) for p in ps],
+        square_norms=[lp_norm(square, LpContext(p, ctx, side)) for p in ps],
+        remainder_norms=[lp_norm(remainder, LpContext(p, ctx, side)) for p in ps],
     )
 
 
@@ -251,22 +239,22 @@ def tensor_identity_residual(x, n: int, ctx: TensorContext, ps: tuple = (2.0,), 
     m2 = ctx.second.m
     if not 0 <= n < 4**m2:
         raise ValueError(f"index {n} out of range for second-block level {m2}")
-    w = kron(np.eye(1 << ctx.first.m, dtype=np.complex128), walsh_matrix(n, m2))
+    start = 2 * ctx.first.m  # the second block's filtration step s is the joint step start + s
+    w = walsh_matrix(n << start, ctx.m)
     truncated = second_truncation(x, n, ctx)
     lhs = w @ truncated
     wx = w @ x
-    rhs = second_cond_expect(wx, -1, ctx)
+    rhs = cond_expect(wx, start - 1, ctx)
     for s, g in enumerate(binary_digits(n)):
         if g:
-            rhs += second_mart_diff(wx, s, ctx)
+            rhs += mart_diff(wx, start + s, ctx)
     residual = lhs - rhs
     fsum = fsum_partial(x, n, ctx, "second")
     fsum2 = fsum_partial(fsum, n, ctx, "second")
-    weights = ctx.joint_weights()
     return TensorIdentityReport(
         n=n,
         residual=residual,
-        residual_norms=[weighted_lp_norm(residual, weights, p, side) for p in ps],
-        fsum_gap_norms=[weighted_lp_norm(fsum - truncated, weights, p, side) for p in ps],
+        residual_norms=[lp_norm(residual, LpContext(p, ctx, side)) for p in ps],
+        fsum_gap_norms=[lp_norm(fsum - truncated, LpContext(p, ctx, side)) for p in ps],
         fsum_idempotency_residual=float(np.max(np.abs(fsum2 - fsum))),
     )

@@ -307,7 +307,7 @@ def test_criterion_09_classical_bridge():
                     assert abs(lhs - rhs) <= 1e-11
         for level in range(1, 9):
             for alpha in ALPHAS:
-                assert abs(dyadic_weights(level, alpha).weights.sum() - 1) <= 1e-12
+                assert abs(dyadic_weights(level, alpha).sum() - 1) <= 1e-12
         for m in range(1, 7):
             for n in range(1 << m):
                 mat = walsh_matrix(diag_index_map(n), m)

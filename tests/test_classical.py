@@ -40,18 +40,18 @@ def test_mu_weight_examples():
 
 def test_weights_sum_to_one_and_match_pointwise():
     for level in range(1, 9):
-        table = dyadic_weights(level, 0.3)
-        assert abs(table.weights.sum() - 1) < 1e-12
-        assert np.all(table.weights > 0)
+        weights = dyadic_weights(level, 0.3)
+        assert abs(weights.sum() - 1) < 1e-12
+        assert np.all(weights > 0)
         for k in range(0, 1 << level, max(1, (1 << level) // 8)):
-            assert abs(table.weights[k] - mu_weight(k, level, 0.3)) < 1e-15
+            assert abs(weights[k] - mu_weight(k, level, 0.3)) < 1e-15
 
 
 def test_refinement_additivity():
     # each interval splits into an alpha piece and a (1-alpha) piece
     for alpha in (0.3, 0.1):
-        coarse = dyadic_weights(3, alpha).weights
-        fine = dyadic_weights(4, alpha).weights
+        coarse = dyadic_weights(3, alpha)
+        fine = dyadic_weights(4, alpha)
         assert np.allclose(fine[0::2], alpha * coarse)
         assert np.allclose(fine[1::2], (1 - alpha) * coarse)
         assert np.allclose(fine[0::2] + fine[1::2], coarse)

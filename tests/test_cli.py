@@ -255,3 +255,24 @@ def test_unconditionality_refuses_oversized_difference_stack(tmp_path, capsys, m
     assert "--level" in err and "--trials" in err
     assert peak < 1 << 20
     assert not (tmp_path / "uc.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        ("basis-constants --level 2 --alpha 0.3 --p 1000 --method estimate --nmax 1", 5),
+        ("classical --level 4 --alpha 0.3 --p 1000 --nmax 3", 5),
+        ("tensor-sweep --level 1 --level2 1 --alpha 0.3 --alpha2 0.1 --p 1000 --nmax 3", 6),
+    ],
+)
+def test_estimates_stay_finite_at_large_p(tmp_path, capsys, argv, column):
+    # Every projection here keeps the identity, so its norm is at least 1; a
+    # power sum that underflows reports 0.  The bound leaves room for the
+    # ascent, which stalls up to ~1e-3 short of the norm at p = 1000 with
+    # few restarts.
+    out_path = tmp_path / "large_p.csv"
+    code, _, _ = run(capsys, *argv.split(), "--restarts", "4", "--seed", "0", "--out", str(out_path))
+    assert code == 0
+    for line in out_path.read_text().splitlines()[1:]:
+        value = float(line.split(",")[column])
+        assert np.isfinite(value) and value >= 1 - 1e-2, line

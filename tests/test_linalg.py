@@ -64,6 +64,16 @@ def test_schatten_examples():
         assert abs(schatten_norm(nilpotent, p) - 1) < 1e-12
 
 
+def test_schatten_stays_finite_at_large_p():
+    # s**p alone underflows to 0 (1e-360) or overflows to inf (1e400) here.
+    small = schatten_norm(1e-3 * np.eye(4), 120)
+    large = schatten_norm(10 * np.eye(4), 400)
+    assert abs(small - 1e-3 * 4 ** (1 / 120)) <= 1e-15 * small
+    assert abs(large - 10 * 4 ** (1 / 400)) <= 1e-15 * large
+    stacked = schatten_norm(np.stack([1e-3 * np.eye(4), 10 * np.eye(4), np.zeros((4, 4))]), 400)
+    assert np.all(np.isfinite(stacked)) and stacked[2] == 0.0
+
+
 def test_schatten_rejects_small_exponent():
     with pytest.raises(ValueError):
         schatten_norm(np.eye(2), 0.5)

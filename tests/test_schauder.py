@@ -177,7 +177,7 @@ def test_exact_norm_p2_closed_form():
 
 def test_exact_norm_rejects_degenerate_weights():
     with pytest.raises(ValueError):
-        exact_norm_p2(OperatorHandle.identity(2), weights=np.array([0.0, 1.0]))
+        exact_norm_p2(OperatorHandle.identity(4), StateSpec(1e-200, 2))  # alpha**2 underflows to 0
 
 
 def test_level1_projection_norms_from_gram_oracle():
@@ -262,8 +262,6 @@ def test_estimator_rejections():
         estimate_norm_lp(handle, LpContext(2.0, spec), restarts=0)
     with pytest.raises(ValueError):
         estimate_norm_lp(handle, LpContext(2.0, spec), tol=0.0)
-    with pytest.raises(ValueError):
-        estimate_norm_lp(handle)  # no context and no explicit parameters
 
 
 def test_basis_constant_sweep_tracial_rows_are_one():

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_matrix
 from walshlab.linalg import dagger
-from walshlab.states import StateSpec
+from walshlab.states import StateSpec, cond_expect, mart_diff, state_diagonal
 from walshlab.tensor import (
     TensorContext,
     double_walsh,
@@ -12,8 +12,6 @@ from walshlab.tensor import (
     fsum_partial,
     joint_coefficients,
     max_shell_index,
-    second_cond_expect,
-    second_mart_diff,
     shell_decomposition_check,
     shell_index,
     shell_pair,
@@ -93,7 +91,7 @@ def test_factor_expectation_examples():
 
 
 def test_factor_expectation_is_state_preserving_idempotent():
-    weights = CTX11.joint_weights()
+    weights = state_diagonal(CTX11)
     for seed in range(3):
         x = random_matrix(2, 500 + seed)
         for side in ("first", "second"):
@@ -186,12 +184,35 @@ def test_shell_decomposition_random_all_positions():
 
 def test_second_block_filtration_consistency():
     ctx = TensorContext(StateSpec(0.3, 1), StateSpec(0.3, 2))
+    start = 2 * ctx.first.m  # second-block step s is the joint step start + s
     x = random_matrix(3, 800)
     fe = factor_expectation(x, "first", ctx)
-    assert np.allclose(second_cond_expect(x, -1, ctx), fe, atol=1e-12)
-    assert np.allclose(second_cond_expect(x, 3, ctx), x, atol=1e-13)
-    total = fe + sum(second_mart_diff(x, s, ctx) for s in range(4))
+    assert np.allclose(cond_expect(x, start - 1, ctx), fe, atol=1e-12)
+    assert np.allclose(cond_expect(x, start + 3, ctx), x, atol=1e-13)
+    total = fe + sum(mart_diff(x, start + s, ctx) for s in range(4))
     assert np.max(np.abs(total - x)) < 1e-11
+
+
+def test_joint_filtration_acts_on_second_block_of_products():
+    # On a (x) b, the joint step 2*m1 + s is id (x) E_s of the second block's own state.
+    for m1 in (1, 2):
+        for m2 in (1, 2):
+            ctx = TensorContext(StateSpec(0.3, m1), StateSpec(0.1, m2))
+            a = random_matrix(m1, 810 + m1)
+            b = random_matrix(m2, 820 + m2)
+            for s in range(-1, 2 * m2):
+                got = cond_expect(np.kron(a, b), 2 * m1 + s, ctx)
+                want = np.kron(a, cond_expect(b, s, ctx.second))
+                assert np.max(np.abs(got - want)) <= 1e-14, (m1, m2, s)
+
+
+def test_joint_state_diagonal_is_kron_of_block_diagonals():
+    # One left-to-right fold against the product of two folds: the rounding differs by a few ulp.
+    for m1 in (1, 2):
+        for m2 in (1, 2):
+            ctx = TensorContext(StateSpec(0.3, m1), StateSpec(0.1, m2))
+            blocks = np.kron(state_diagonal(ctx.first), state_diagonal(ctx.second))
+            np.testing.assert_array_max_ulp(state_diagonal(ctx), blocks, maxulp=2)
 
 
 def test_tensor_identity_tracial_exhaustive():
