@@ -91,17 +91,39 @@ def diag_to_step(x) -> StepFunction:
     return StepFunction(level=m, values=np.diag(x).copy())
 
 
-def _weighted_vector_norm(v: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum |v_k|**p w_k)**(1/p); p = inf gives max |v_k|.
+def _weighted_vector_norm(v: np.ndarray, weights: np.ndarray, p: float):
+    """(sum |v_k|**p w_k)**(1/p) along the last axis; p = inf gives max |v_k|.
 
     Taken as top * (sum (|v_k|/top)**p w_k)**(1/p) with top = max |v_k|, so
-    that the powers stay in float range at large p.
+    that the powers stay in float range at large p.  A float for one vector,
+    an array of shape (...) for rows of shape (..., k).
     """
     mags = np.abs(v)
-    top = mags.max()
-    if math.isinf(p) or top == 0.0:
-        return float(top)
-    return float(top * np.dot((mags / top) ** p, weights) ** (1.0 / p))
+    top = mags.max(axis=-1)
+    if not math.isinf(p):
+        top = top * ((mags / np.where(top > 0, top, 1.0)[..., np.newaxis]) ** p @ weights) ** (1.0 / p)
+    return float(top) if top.ndim == 0 else top
+
+
+def _weighted_vector_gradient(v: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """Gradient of _weighted_vector_norm along the last axis; zero for a zero vector.
+
+    At p = inf it is the phase of the first largest entry.
+    """
+    mags = np.abs(v)
+    top = mags.max(axis=-1, keepdims=True)
+    live = top > 0.0
+    if math.isinf(p):
+        first = mags.argmax(axis=-1)[..., np.newaxis]
+        out = np.zeros_like(v)
+        np.put_along_axis(out, first, np.take_along_axis(v, first, -1) / np.where(live, top, 1.0), -1)
+        return out
+    # weights * |v|**(p-2) / value**(p-1), with max |v| factored out of both powers.
+    top = np.where(live, top, 1.0)
+    ratios = mags / top
+    rel_value = np.where(live, (ratios**p @ weights)[..., np.newaxis], 1.0) ** (1.0 / p)
+    scale = weights * np.where(mags > 0, ratios, 1.0) ** (p - 2.0) / (rel_value ** (p - 1.0) * top)
+    return np.where(live, scale * v, 0.0)
 
 
 def step_lp_norm(f: StepFunction, p: float, alpha: float) -> float:
@@ -179,26 +201,11 @@ def classical_norm_estimate(
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
-    def norm_of(v: np.ndarray) -> float:
-        return _weighted_vector_norm(v, weights, p)
-
-    def norm_gradient(v: np.ndarray) -> np.ndarray:
-        mags = np.abs(v)
-        if math.isinf(p):
-            out = np.zeros_like(v)
-            k = int(np.argmax(mags))
-            if mags[k] > 0:
-                out[k] = v[k] / mags[k]
-            return out
-        top = mags.max()
-        if top == 0.0:
-            return np.zeros_like(v)
-        # weights * |v|**(p-2) / value**(p-1), with max |v| factored out of both powers.
-        ratios = mags / top
-        rel_value = np.dot(ratios**p, weights) ** (1.0 / p)
-        scale = weights * np.where(mags > 0, ratios, 1.0) ** (p - 2.0) / (rel_value ** (p - 1.0) * top)
-        return scale * v
-
     return multistart_ascent(
-        classical_projection(n, level), draw, norm_of, norm_gradient, restarts, seed
+        classical_projection(n, level),
+        draw,
+        lambda v: _weighted_vector_norm(v, weights, p),
+        lambda v: _weighted_vector_gradient(v, weights, p),
+        restarts,
+        seed,
     )

@@ -33,7 +33,6 @@ from .states import (
     state_diagonal,
     weight_scale,
     weighted_lp_gradient,
-    weighted_lp_norm,
 )
 from .walsh import PAPER, binary_digits, system_coefficients, system_synthesize, walsh_matrix, walsh_stack
 
@@ -48,6 +47,8 @@ ESTIMATE = "estimate"
 # Stopping rule of the multi-start ascent: relative tolerance and iteration cap.
 ASCENT_TOL = 1e-6
 MAX_ASCENT_ITER = 400
+# Restarts climbing in lockstep at most; bounds the ascent's memory for any restart count.
+ASCENT_BLOCK = 64
 
 
 def matrix_unit_stack(dim: int) -> np.ndarray:
@@ -244,62 +245,80 @@ def multistart_ascent(
 ) -> tuple[float, bool]:
     """Best ratio ||mat @ x|| / ||x|| found by multi-start normalized ascent on flat vectors.
 
-    Restart r climbs from ``draw(task_rng(seed, r))`` along the normalized
-    gradient of the ratio at ||x|| = 1, ``mat* norm_gradient(mat @ x) - value *
-    norm_gradient(x)`` (the numerator gradient minus its component along the
-    constraint), with 0.5-backtracking, and stops once five consecutive
-    iterations improve by less than ``tol`` relative, or after
-    ``MAX_ASCENT_ITER`` iterations.  Returns (best value,
-    whether the best restart converged); the best value is always a valid
-    lower bound of the operator norm.
+    Restart r climbs from ``draw(task_rng(seed, r))`` (a draw of norm 0 is
+    skipped) along the normalized gradient of the ratio at ||x|| = 1,
+    ``mat* norm_gradient(mat @ x) - value * norm_gradient(x)`` (the numerator
+    gradient minus its component along the constraint), with 0.5-backtracking,
+    and stops once five consecutive iterations improve by less than ``tol``
+    relative, or after ``MAX_ASCENT_ITER`` iterations.  ``norm_of`` and
+    ``norm_gradient`` act on a (k, n) block of row vectors, one value or
+    gradient per row.  Restarts climb in lockstep, ``ASCENT_BLOCK`` rows at a
+    time, each on its own path.  Returns (best value, whether the first
+    restart reaching it converged); the best value is always a valid lower
+    bound of the operator norm.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    adj = mat.conj().T
     best = 0.0
     best_converged = False
-    for r in range(restarts):
-        x = draw(task_rng(seed, r))
-        nx = norm_of(x)
-        if nx == 0.0:
-            continue
-        x = x / nx
-        value = norm_of(mat @ x)
-        converged = False
-        step = 1.0
-        quiet = 0
-        for _ in range(MAX_ASCENT_ITER):
-            g = adj @ norm_gradient(mat @ x) - value * norm_gradient(x)
-            gn = np.linalg.norm(g)
-            if gn < 1e-300:
-                converged = True
-                break
-            g = g / gn
-            rel = 0.0
-            trial = step
-            while trial > 1e-12:
-                cand = x + trial * g
-                cn = norm_of(cand)
-                if cn > 0:
-                    cand = cand / cn
-                    cv = norm_of(mat @ cand)
-                    if cv > value:
-                        rel = (cv - value) / max(value, 1e-300)
-                        x, value = cand, cv
-                        step = min(trial * 2.0, 1.0)
-                        break
-                trial *= 0.5
-            else:
-                step = 1.0
-            quiet = quiet + 1 if rel < tol else 0
-            if quiet >= 5:
-                converged = True
-                break
-        if value > best:
-            best, best_converged = value, converged
+    for first in range(0, restarts, ASCENT_BLOCK):
+        xs = np.stack([draw(task_rng(seed, r)) for r in range(first, min(first + ASCENT_BLOCK, restarts))])
+        nx = norm_of(xs)
+        live = nx != 0.0
+        values, converged = _climb_block(mat, xs[live] / nx[live, np.newaxis], norm_of, norm_gradient, tol)
+        for value, conv in zip(values, converged):
+            if value > best:
+                best, best_converged = float(value), bool(conv)
     return best, best_converged
+
+
+def _climb_block(mat, xs, norm_of, norm_gradient, tol):
+    """Climb the unit rows of ``xs`` together; returns their final values and convergence flags.
+
+    Every round takes one gradient of each climbing row, then backtracks all
+    of them at once: a row halves its own trial step until it improves or the
+    step falls to 1e-12.  A row that stops leaves later rounds.
+    """
+    matT = mat.T
+    values = norm_of(xs @ matT)
+    converged = np.zeros(len(xs), dtype=bool)
+    step = np.ones(len(xs))
+    quiet = np.zeros(len(xs), dtype=int)
+    active = np.arange(len(xs))
+    for _ in range(MAX_ASCENT_ITER):
+        if active.size == 0:
+            break
+        x, value, k = xs[active], values[active], len(active)
+        grads = norm_gradient(np.concatenate([x @ matT, x]))
+        g = grads[:k] @ mat.conj() - value[:, np.newaxis] * grads[k:]
+        gn = np.linalg.norm(g, axis=1)
+        flat = gn < 1e-300
+        g /= np.where(flat, 1.0, gn)[:, np.newaxis]
+        rel = np.zeros(k)
+        trial = step[active]
+        searching = np.flatnonzero(~flat)
+        while searching.size:
+            cand = x[searching] + trial[searching, np.newaxis] * g[searching]
+            cn = norm_of(cand)
+            cand /= np.where(cn > 0, cn, 1.0)[:, np.newaxis]
+            cv = norm_of(cand @ matT)
+            up = (cn > 0) & (cv > value[searching])
+            rows = searching[up]
+            rel[rows] = (cv[up] - value[rows]) / np.maximum(value[rows], 1e-300)
+            x[rows], value[rows] = cand[up], cv[up]
+            searching = searching[~up]
+            trial[searching] *= 0.5
+            searching = searching[trial[searching] > 1e-12]
+        xs[active], values[active] = x, value
+        # A row that improved doubles its step; one whose search ran out starts again from 1.
+        step[active] = np.where(trial > 1e-12, np.minimum(trial * 2.0, 1.0), 1.0)
+        quiet[active] = np.where(rel < tol, quiet[active] + 1, 0)
+        done = flat | (quiet[active] >= 5)
+        converged[active[done]] = True
+        active = active[~done]
+    return values, converged
 
 
 def estimate_norm_lp(
@@ -314,11 +333,11 @@ def estimate_norm_lp(
     weights = state_diagonal(ctx.state)
     p, side, d = ctx.p, ctx.side, T.dim
 
-    def norm_of(v: np.ndarray) -> float:
-        return weighted_lp_norm(v.reshape(d, d), weights, p, side)
+    def norm_of(v: np.ndarray) -> np.ndarray:
+        return batched_weighted_lp_norm(v.reshape(-1, d, d), weights, p, side)
 
     def norm_gradient(v: np.ndarray) -> np.ndarray:
-        return weighted_lp_gradient(v.reshape(d, d), weights, p, side).ravel()
+        return weighted_lp_gradient(v.reshape(-1, d, d), weights, p, side).reshape(v.shape)
 
     value, converged = multistart_ascent(
         T.matrix(), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of, norm_gradient,

@@ -154,27 +154,28 @@ def weighted_lp_norm(x, weights: np.ndarray, p: float, side: str = LEFT) -> floa
 
 
 def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> np.ndarray:
-    """Euclidean gradient of weighted_lp_norm at one matrix x.
+    """Euclidean gradient of weighted_lp_norm, matrix by matrix on a (..., d, d) stack.
 
     The Schatten subgradient of the scaled matrix, scaled back.  Singular
     modes below 1e-14 of the top one are omitted, so the norm value inside is
     taken over the kept modes; at p = inf it follows the top singular pair.
     The mode weights (s / value)**(p-1) are formed from s / s[0], which keeps
-    them in float range at large p.
+    them in float range at large p.  A zero matrix has a zero gradient.
     """
     scale = weight_scale(weights, p, side)
-    scaled = as_matrix(x) * scale
+    scaled = as_stack(x) * scale
     u, s, vh = np.linalg.svd(scaled, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(scaled)
+    top = s[..., :1]
+    live = top > 0.0
     if math.isinf(p):
-        grad = np.outer(u[:, 0], vh[0].conj())
+        grad = u[..., :, :1] * vh[..., :1, :].conj()
     else:
-        keep = s > s[0] * 1e-14
-        ratios = s[keep] / s[0]
-        coeff = (ratios / (ratios**p).sum() ** (1.0 / p)) ** (p - 1.0)
-        grad = (u[:, keep] * coeff) @ vh[keep]
-    return grad * scale
+        keep = s > top * 1e-14
+        ratios = np.where(keep, s / np.where(live, top, 1.0), 0.0)
+        root = np.where(live, (ratios**p).sum(axis=-1, keepdims=True), 1.0) ** (1.0 / p)
+        coeff = np.where(keep, (ratios / root) ** (p - 1.0), 0.0)
+        grad = (u * coeff[..., np.newaxis, :]) @ vh
+    return np.where(live[..., np.newaxis], grad, 0.0) * scale
 
 
 def _similarity_top_value(mat: np.ndarray, root: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from walshlab.linalg import dagger, gaussian_matrix, task_rng
+from walshlab.schauder import ASCENT_TOL, MAX_ASCENT_ITER
 
 
 def random_matrix(m: int, seed: int) -> np.ndarray:
@@ -53,3 +54,61 @@ def factor_map_oracle(x: np.ndarray, maps: dict, m: int) -> np.ndarray:
         k = np.asarray(k4, dtype=np.complex128).reshape(2, 2, 2, 2)
         t = np.moveaxis(np.tensordot(k, t, axes=([2, 3], [j, m + j])), [0, 1], [j, m + j])
     return t.reshape(1 << m, 1 << m)
+
+
+def sequential_ascent(mat, draw, norm_of, norm_gradient, restarts, seed, tol=ASCENT_TOL):
+    """Ascent oracle: ``schauder.multistart_ascent`` climbing one restart at a time.
+
+    Takes the same row-block callbacks and returns the same (best, converged);
+    every restart runs its own loop on one vector.
+    """
+
+    def norm(v):
+        return float(norm_of(v[np.newaxis])[0])
+
+    def gradient(v):
+        return norm_gradient(v[np.newaxis])[0]
+
+    adj = mat.conj().T
+    best = 0.0
+    best_converged = False
+    for r in range(restarts):
+        x = draw(task_rng(seed, r))
+        nx = norm(x)
+        if nx == 0.0:
+            continue
+        x = x / nx
+        value = norm(mat @ x)
+        converged = False
+        step = 1.0
+        quiet = 0
+        for _ in range(MAX_ASCENT_ITER):
+            g = adj @ gradient(mat @ x) - value * gradient(x)
+            gn = np.linalg.norm(g)
+            if gn < 1e-300:
+                converged = True
+                break
+            g = g / gn
+            rel = 0.0
+            trial = step
+            while trial > 1e-12:
+                cand = x + trial * g
+                cn = norm(cand)
+                if cn > 0:
+                    cand = cand / cn
+                    cv = norm(mat @ cand)
+                    if cv > value:
+                        rel = (cv - value) / max(value, 1e-300)
+                        x, value = cand, cv
+                        step = min(trial * 2.0, 1.0)
+                        break
+                trial *= 0.5
+            else:
+                step = 1.0
+            quiet = quiet + 1 if rel < tol else 0
+            if quiet >= 5:
+                converged = True
+                break
+        if value > best:
+            best, best_converged = value, converged
+    return best, best_converged

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import sequential_ascent
+from walshlab import classical
 from walshlab.classical import (
     StepFunction,
     classical_basis_matrix,
@@ -141,6 +143,34 @@ def test_classical_projection_norm_cross_method():
         assert abs(est - exact) < 1e-4, (n, exact, est)
     # the biased level-2 truncation at n=0 is oblique, norm above one
     assert classical_norm_exact2(0, 2, 0.3) > 1.05
+
+
+def test_lockstep_classical_ascent_matches_sequential_oracle(monkeypatch):
+    # Climbing all restarts together takes every restart along its own path.
+    cases = [
+        (n, level, p)
+        for level in range(2, 6)
+        for n in range(0, 1 << level, 1 << (level - 2))
+        for p in (1.5, 3.0, 4.0)
+    ]
+    lockstep = [classical_norm_estimate(n, level, 0.3, p, restarts=4, seed=n) for n, level, p in cases]
+    monkeypatch.setattr(classical, "multistart_ascent", sequential_ascent)
+    for (n, level, p), (value, converged) in zip(cases, lockstep):
+        oracle_value, oracle_converged = classical_norm_estimate(n, level, 0.3, p, restarts=4, seed=n)
+        assert abs(value - oracle_value) <= 1e-12 * oracle_value, (n, level, p)
+        assert converged == oracle_converged, (n, level, p)
+
+
+def test_classical_estimate_below_closed_form_at_p1_and_inf():
+    # Weighted l^inf operator norm: max_i sum_j |P_ij|; weighted l^1: max_j sum_i w_i |P_ij| / w_j.
+    level, alpha = 4, 0.3
+    w = dyadic_weights(level, alpha)
+    for n in range(1 << level):
+        mags = np.abs(classical_projection(n, level))
+        closed = {np.inf: mags.sum(axis=1).max(), 1.0: ((w @ mags) / w).max()}
+        for p, bound in closed.items():
+            est, _ = classical_norm_estimate(n, level, alpha, p, restarts=8, seed=n)
+            assert 0.0 < est <= bound * (1 + 1e-12), (n, p, est, bound)
 
 
 def test_step_function_validation():

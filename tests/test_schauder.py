@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_units, probe_matrix, random_matrix
+from helpers import matrix_units, probe_matrix, random_matrix, sequential_ascent
+from walshlab import schauder
 from walshlab.linalg import gaussian_matrix, task_rng
 from walshlab.states import (
     LpContext,
     StateSpec,
+    batched_weighted_lp_norm,
     cond_expect,
     lp_norm,
     mart_diff,
     rho_value,
     state_diagonal,
+    weighted_lp_gradient,
 )
 from walshlab.schauder import (
+    ASCENT_BLOCK,
     ESTIMATE,
     EXACT2,
     MAX_SIGN_STACK_BYTES,
@@ -29,6 +33,7 @@ from walshlab.schauder import (
     exact_norm_p2,
     identity_residual,
     mart_diff_handle,
+    multistart_ascent,
     partial_sum,
     partial_sum_handle,
     sign_sweep_stack_bytes,
@@ -253,6 +258,77 @@ def test_estimate_norm_lp_calls_its_handle_once():
             rep = estimate_norm_lp(handle, LpContext(p, spec, side), restarts=3, seed=4)
             assert rep.value > 0.0
             assert shapes == [(16, 4, 4)], (p, side, len(shapes))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lockstep_ascent_matches_sequential_oracle(m, monkeypatch):
+    # Climbing all restarts together takes every restart along its own path.
+    spec = StateSpec(0.3, m)
+    handles = (
+        [partial_sum_handle(n, m, 0.3) for n in range(0, 4**m, 3)]
+        + [decomposition_handle(n, spec) for n in range(0, 4**m, 5)]
+        + [cond_expect_handle(s, spec) for s in range(-1, 2 * m)]
+    )
+    cases = [
+        (handle, LpContext(p, spec, side))
+        for handle in handles
+        for p in (1.5, 3.0, 4.0)
+        for side in ("left", "right")
+    ]
+    lockstep = [estimate_norm_lp(handle, ctx, restarts=4, seed=9) for handle, ctx in cases]
+    monkeypatch.setattr(schauder, "multistart_ascent", sequential_ascent)
+    for (handle, ctx), rep in zip(cases, lockstep):
+        oracle = estimate_norm_lp(handle, ctx, restarts=4, seed=9)
+        assert abs(rep.value - oracle.value) <= 1e-12 * oracle.value, (handle.label, ctx)
+        assert rep.converged == oracle.converged, (handle.label, ctx)
+
+
+def _ascent_callbacks(spec: StateSpec, p: float):
+    """Block callbacks of the weighted p-norm that record how many rows each call gets."""
+    weights = state_diagonal(spec)
+    d = spec.dim
+    rows = {"norm": [], "gradient": []}
+
+    def norm_of(v):
+        rows["norm"].append(len(v))
+        return batched_weighted_lp_norm(v.reshape(-1, d, d), weights, p)
+
+    def norm_gradient(v):
+        rows["gradient"].append(len(v))
+        return weighted_lp_gradient(v.reshape(-1, d, d), weights, p).reshape(v.shape)
+
+    return norm_of, norm_gradient, rows
+
+
+def test_ascent_climbs_at_most_one_block_of_restarts():
+    spec = StateSpec(0.3, 1)
+    mat = partial_sum_handle(1, 1, 0.3).matrix()
+    norm_of, norm_gradient, rows = _ascent_callbacks(spec, 3.0)
+    args = (mat, lambda rng: gaussian_matrix(2, rng).ravel(), norm_of, norm_gradient, 2 * ASCENT_BLOCK + 1)
+    value, converged = multistart_ascent(*args, seed=3)
+    assert max(rows["norm"]) == ASCENT_BLOCK
+    # One gradient call takes the images and the points of a block together.
+    assert max(rows["gradient"]) == 2 * ASCENT_BLOCK
+    oracle_value, oracle_converged = sequential_ascent(*args, seed=3)
+    assert abs(value - oracle_value) <= 1e-12 * oracle_value and converged == oracle_converged
+
+
+def test_ascent_skips_zero_draws():
+    spec = StateSpec(0.3, 1)
+    mat = partial_sum_handle(2, 1, 0.3).matrix()
+    norm_of, norm_gradient, _ = _ascent_callbacks(spec, 3.0)
+
+    def some_zero(rng):
+        x = gaussian_matrix(2, rng).ravel()
+        return x if x[0].real > 0 else np.zeros_like(x)
+
+    args = (mat, some_zero, norm_of, norm_gradient, 12)
+    value, converged = multistart_ascent(*args, seed=1)
+    oracle_value, oracle_converged = sequential_ascent(*args, seed=1)
+    assert value > 1.0
+    assert abs(value - oracle_value) <= 1e-12 * oracle_value and converged == oracle_converged
+    zero = multistart_ascent(mat, lambda rng: np.zeros(4, complex), norm_of, norm_gradient, 5, seed=1)
+    assert zero == (0.0, False)
 
 
 def test_estimator_rejections():

@@ -264,6 +264,13 @@ def _same_norm(stacked, one, p) -> bool:
     return abs(stacked - one) <= 4 * np.finfo(float).eps * one
 
 
+def _same_gradient(stacked, one, p) -> bool:
+    # The mode weights hold the same root as the norm (see _same_norm).
+    if p in (1.0, 2.0, np.inf):
+        return np.array_equal(stacked, one)
+    return np.max(np.abs(stacked - one)) <= 4 * np.finfo(float).eps * np.max(np.abs(one))
+
+
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
 def test_stacked_norms_equal_per_matrix_loop(batch):
     # One Schatten sum and one norm body serve one matrix and a stack.
@@ -287,6 +294,20 @@ def test_stacked_norms_equal_per_matrix_loop(batch):
                 assert lp_norm(xs[idx], ctx) == one
                 assert _same_norm(stacked[idx], one, p)
                 assert _same_norm(np.asarray(values)[idx], one, p)
+    # The gradient body is stack-aware too; a zero matrix in a stack has a zero gradient.
+    ys = xs.copy()
+    zero = (-1,) * len(batch)
+    if batch:
+        ys[zero] = 0.0
+    for p in (1.5, 3.0, np.inf):
+        for side in ("left", "right"):
+            grads = weighted_lp_gradient(ys, w, p, side)
+            assert grads.shape == ys.shape
+            for idx in np.ndindex(batch):
+                one = weighted_lp_gradient(ys[idx], w, p, side)
+                assert _same_gradient(grads[idx], one, p), (p, side, idx)
+            if batch:
+                assert not np.any(grads[zero])
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
