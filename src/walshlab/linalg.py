@@ -11,6 +11,8 @@ module that builds on this one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_LEVEL = 8
@@ -96,9 +98,67 @@ def singular_values(x) -> np.ndarray:
     """Singular values in descending order, along the last axis for a stack.
 
     Taken from the SVD of x itself, not from the eigenvalues of x*x: squaring
-    lets the small singular values of a column-scaled matrix vanish.
+    lets the small singular values of a column-scaled matrix vanish, since
+    eigvalsh resolves them only down to about eps * s_max**2.  Power sums at
+    p >= 2 do not need them (see ``schatten_norm``), values at p < 2 do.
     """
     return np.linalg.svd(as_stack(x), compute_uv=False)
+
+
+# The Gram route takes x* x as it comes while the top term of every matrix
+# (lambda_max, or ||G||_F**2 at p = 4) lies in TOP_RANGE.  Otherwise each
+# matrix whose largest entry max|re, im| = m * 2**e (1/2 <= m < 1) has e
+# outside EXPONENT_RANGE is divided by 2**e first, so that G and |G_ij|**2
+# stay normal and finite.
+TOP_RANGE = (2.0**-900, 2.0**900)
+EXPONENT_RANGE = (-200, 200)
+TINY = np.finfo(np.float64).tiny
+
+
+def _gram_pass(xs: np.ndarray, p: float) -> tuple[np.ndarray, bool]:
+    """Schatten p-norms (p > 2) of a (k, d, d) stack from G = x* x, and whether all are in range.
+
+    A norm is in range when its top term (||G||_F**2 = sum s**4 at p = 4,
+    else lambda_max) lies in ``TOP_RANGE``.
+    """
+    g = xs.conj().swapaxes(-1, -2) @ xs
+    if p == 4:
+        v = g.reshape(len(g), -1).view(np.float64)
+        top = (v * v).sum(axis=-1)
+        out = np.sqrt(np.sqrt(top))
+    else:
+        lam = np.linalg.eigvalsh(g)
+        top = lam[:, -1]
+        if math.isinf(p):
+            out = np.sqrt(np.maximum(top, 0.0))
+        else:
+            # A zero matrix divides by the smallest normal float instead of 0.
+            lead = np.maximum(lam[:, -1:], TINY)
+            ratios = np.maximum(lam / lead, 0.0)
+            out = np.sqrt(lead[:, 0]) * (ratios ** (0.5 * p)).sum(axis=-1) ** (1.0 / p)
+    return out, TOP_RANGE[0] <= top.min() and top.max() <= TOP_RANGE[1]
+
+
+def _gram_norms(xs: np.ndarray, p: float) -> np.ndarray:
+    """Schatten p-norms (p > 2) of a non-empty (k, d, d) stack from its Gram matrices.
+
+    One pass on x itself serves when every norm is in range.  Otherwise
+    (zero, tiny or huge matrices, or an overflowed G) the stack is taken
+    again with each matrix whose exponent leaves ``EXPONENT_RANGE`` divided
+    by its power of two 2**e, and that norm multiplied by 2**e.  A power of
+    two scales exactly, and every other matrix comes out as in the first pass.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, fits = _gram_pass(xs, p)
+        if fits:
+            return out
+    except np.linalg.LinAlgError:
+        pass
+    exponent = np.frexp(np.abs(xs.reshape(len(xs), -1).view(np.float64)).max(axis=-1))[1]
+    low, high = EXPONENT_RANGE
+    scale = np.ldexp(1.0, np.where((exponent < low) | (exponent > high), np.minimum(exponent, 1023), 0))
+    return scale * _gram_pass(xs / scale[:, np.newaxis, np.newaxis], p)[0]
 
 
 def schatten_norm(x, p: float):
@@ -106,24 +166,47 @@ def schatten_norm(x, p: float):
 
     ``p = inf`` returns the operator norm.  Exponents below 1 are rejected.
     A float for one matrix, an array of shape (...) for a (..., d, d) stack.
-    At p other than 1, 2 and inf the top singular value is factored out,
-    top * (sum (s/top)**p)**(1/p), so that the powers stay in float range at
-    large p.
+
+    The engine depends on p alone:
+
+    * 1 <= p < 2: the singular values of x (``singular_values``).  A sum
+      of s**p with p < 2 weighs the small values, which squaring would lose.
+    * p = 2: the Frobenius norm of x, no decomposition.
+    * p = 4: ||G||_F**(1/2) of the Gram matrix G = x* x, no decomposition.
+    * every other p > 2 and p = inf: the eigenvalues lambda = s**2 of G
+      (``eigvalsh``), negative rounding clipped to 0.
+
+    At p >= 2 the Gram route is safe: sum s**p = sum lambda(G)**(p/2), and
+    the absolute error ~eps * lambda_max of eigvalsh moves each term by at
+    most about (p/2) eps lambda_max**(p/2), since p/2 - 1 >= 0 (a negative
+    eigenvalue clipped to 0 counts as well).  The sum, at least
+    lambda_max**(p/2), thus moves by O(d p eps) relative and its p-th root by
+    O(d eps).  G is formed from x scaled by a power of two when x is too
+    small or too large for G to stay in the normal float range
+    (``_gram_norms``).  At p other than
+    1, 2, 4 and inf the top term is factored out, top * (sum (s/top)**p)**(1/p)
+    (in lambda: (lambda/lambda_max)**(p/2)), so that the powers stay in
+    float range at large p.
     """
     if p < 1:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    s = singular_values(x)
-    if np.isinf(p):
-        out = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    elif p == 1:
-        out = s.sum(axis=-1)
-    elif p == 2:
-        out = np.sqrt((s * s).sum(axis=-1))
+    x = as_stack(x)
+    if p < 2:
+        s = singular_values(x)
+        if p == 1:
+            out = s.sum(axis=-1)
+        else:
+            # A zero matrix divides by the smallest normal float instead of 0.
+            top = np.maximum(s[..., :1], TINY)
+            out = top[..., 0] * ((s / top) ** p).sum(axis=-1) ** (1.0 / p)
+        return float(out) if x.ndim == 2 else out
+    xs = x.reshape((-1,) + x.shape[-2:])
+    if p == 2:
+        v = xs.reshape(len(xs), -1).view(np.float64)
+        out = np.sqrt((v * v).sum(axis=-1))
     else:
-        # A zero matrix divides by the smallest normal float instead of 0.
-        top = np.maximum(s[..., :1], np.finfo(np.float64).tiny)
-        out = top[..., 0] * ((s / top) ** p).sum(axis=-1) ** (1.0 / p)
-    return float(out) if s.ndim == 1 else out
+        out = _gram_norms(xs, p) if xs.size else np.zeros(len(xs))
+    return float(out[0]) if x.ndim == 2 else out.reshape(x.shape[:-2])
 
 
 def psd_power(h, t) -> np.ndarray:

@@ -40,6 +40,10 @@ MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
 # The sign sweep holds every martingale difference of every probe at once;
 # refuse sweeps whose difference stack would outgrow this many bytes.
 MAX_SIGN_STACK_BYTES = 1 << 30
+# Bytes of one block of sign patterns' combined stack (one pattern at least);
+# its norm holds a few more arrays of that size: the weighted copy, the Gram
+# stack.
+SIGN_BLOCK_BYTES = 1 << 24
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
@@ -489,7 +493,7 @@ def unconditionality_constant(
         ).reshape(block.shape[0], -1)
         return (norms / base_norms[None, :]).max(axis=1)
 
-    chunk = max(1, (1 << 22) // max(1, xs.shape[0] * d * d))
+    chunk = max(1, SIGN_BLOCK_BYTES // (xs.shape[0] * d * d * xs.itemsize))
     blocks = [patterns[start : start + chunk] for start in range(0, patterns.shape[0], chunk)]
     if workers <= 1 or len(blocks) == 1:
         per_block = [chunk_maxima(b) for b in blocks]

@@ -158,7 +158,8 @@ def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> 
 
     The Schatten subgradient of the scaled matrix, scaled back.  Singular
     modes below 1e-14 of the top one are omitted, so the norm value inside is
-    taken over the kept modes; at p = inf it follows the top singular pair.
+    taken over the kept modes; at p = inf it is u1 v1*, the subgradient of
+    the top singular pair.
     The mode weights (s / value)**(p-1) are formed from s / s[0], which keeps
     them in float range at large p.  A zero matrix has a zero gradient.
     """
@@ -168,7 +169,7 @@ def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> 
     top = s[..., :1]
     live = top > 0.0
     if math.isinf(p):
-        grad = u[..., :, :1] * vh[..., :1, :].conj()
+        grad = u[..., :, :1] * vh[..., :1, :]
     else:
         keep = s > top * 1e-14
         ratios = np.where(keep, s / np.where(live, top, 1.0), 0.0)
@@ -183,6 +184,8 @@ def _similarity_top_value(mat: np.ndarray, root: np.ndarray) -> float:
 
     The operator norm of ``mat`` for the inner product sum_k root_k**2
     conj(x_k) y_k, in which the unit vectors scaled by 1/root are orthonormal.
+    ``schatten_norm`` at p = inf takes it from the top eigenvalue of the
+    similarity's Gram matrix, not from an SVD.
     """
     return schatten_norm((root[:, np.newaxis] * mat) / root[np.newaxis, :], np.inf)
 

@@ -176,6 +176,35 @@ def test_csv_reproducible_across_runs_and_workers(tmp_path, capsys):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
+def test_sign_sweep_csv_identical_across_workers_over_several_blocks(tmp_path, capsys, monkeypatch):
+    # At level 3 with 200 trials one block holds 49 of the 256 sampled patterns.
+    from walshlab import schauder
+
+    stacks = []
+    norm = schauder.batched_weighted_lp_norm
+
+    def recording(xs, *args, **kwargs):
+        stacks.append(np.asarray(xs).nbytes)
+        return norm(xs, *args, **kwargs)
+
+    monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
+    bodies = []
+    for tag, workers in (("a", "1"), ("b", "2")):
+        stacks.clear()
+        out_path = tmp_path / f"{tag}.csv"
+        code, _, _ = run(
+            capsys, "unconditionality", "--level", "3", "--alpha", "0.1", "--p", "3",
+            "--mode", "sampled", "--trials", "200", "--seed", "17",
+            "--workers", workers, "--out", str(out_path),
+        )
+        assert code == 0
+        bodies.append(out_path.read_bytes())
+        blocks = stacks[1:]  # the first call takes the probes' own norms
+        assert len(blocks) >= 2
+        assert max(blocks) <= schauder.SIGN_BLOCK_BYTES
+    assert bodies[0] == bodies[1]
+
+
 def test_rerun_from_manifest_is_byte_identical(tmp_path, capsys):
     out_path = tmp_path / "uc.csv"
     argv = [

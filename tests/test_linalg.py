@@ -231,6 +231,60 @@ def test_singular_values_keep_small_values_of_column_scaled_unitary():
     assert np.max(np.abs(s - expected) / expected) <= 1e-7
 
 
+GRAM_PS = (2.0, 2.5, 3.0, 4.0, 7.0, 120.0, np.inf)
+
+
+def _svd_power_sum(x, p):
+    """Oracle: the Schatten norm from the SVD singular values, top factored out."""
+    s = np.linalg.svd(x, compute_uv=False)
+    if np.isinf(p):
+        return s[..., 0]
+    top = np.maximum(s[..., :1], np.finfo(float).tiny)
+    return top[..., 0] * ((s / top) ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _hadamard(m):
+    h = np.array([[1.0]])
+    for _ in range(m):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    return h
+
+
+@pytest.mark.parametrize("p", GRAM_PS)
+def test_gram_schatten_norms_match_svd_oracle(p):
+    # At p >= 2 the norm comes from the Gram matrix x* x, not from the SVD.
+    rng = np.random.default_rng(7)
+    for d, batch in ((2, (3,)), (4, (2, 5)), (8, (6,)), (64, (2,))):
+        xs = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
+        xs *= np.exp(rng.uniform(-3, 3, batch))[..., None, None]
+        got, want = schatten_norm(xs, p), _svd_power_sum(xs, p)
+        assert got.shape == batch
+        assert np.max(np.abs(got - want) / want) <= 1e-14, d
+    # Singular values w down to 6.4e-11: the sum at p >= 2 is exact to rounding.
+    w = state_diagonal(StateSpec(0.02, 6))
+    for x in (_hadamard(6) * w[None, :], w[:, None] * _hadamard(6)):
+        want = np.max(w) if np.isinf(p) else np.sum(w**p) ** (1 / p)
+        assert abs(schatten_norm(x, p) - want) <= 1e-14 * want
+    assert schatten_norm(np.zeros((4, 4)), p) == 0.0
+    zero_inside = schatten_norm(np.stack([np.zeros((4, 4)), np.eye(4)]), p)
+    assert zero_inside[0] == 0.0 and abs(zero_inside[1] - _svd_power_sum(np.eye(4), p)) <= 1e-15 * 4
+    # Far outside the float range of |G_ij|**2 (G_ij = 1e-200 or 1e200).
+    for c in (1e-100, 1e100, 1e-300, 1e300):
+        want = c * (1.0 if np.isinf(p) else 4 ** (1 / p))
+        if p == 2 and c in (1e-300, 1e300):
+            continue  # the Frobenius sum squares x itself, as the SVD's s**2 did
+        got = schatten_norm(c * np.eye(4), p)
+        assert np.isfinite(got) and abs(got - want) <= 1e-15 * want, c
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 1.99])
+def test_schatten_below_two_keeps_the_svd(p):
+    x = random_matrix(3, 77)
+    s = singular_values(x)
+    want = s.sum() if p == 1 else s[0] * ((s / s[0]) ** p).sum() ** (1 / p)
+    assert schatten_norm(x, p) == want
+
+
 def _random_maps(rng, m):
     factors = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
     return {int(j): rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for j in factors}

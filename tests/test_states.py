@@ -310,9 +310,11 @@ def test_stacked_norms_equal_per_matrix_loop(batch):
                 assert not np.any(grads[zero])
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 3.0, np.inf])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_weighted_lp_gradient_matches_finite_differences(p, side):
+    # At p = inf the gradient is u1 v1* of the top singular pair (simple for
+    # this complex matrix), not u1 conj(v1*).
     w = state_diagonal(StateSpec(0.3, 2))
     x = random_matrix(2, 61)
     grad = weighted_lp_gradient(x, w, p, side)
