@@ -19,8 +19,7 @@ import numpy as np
 
 from .linalg import as_matrix, level_of_dim
 from .schauder import multistart_ascent
-from .states import LEFT, StateSpec, _similarity_top_value, state_diagonal, weight_scale
-from .walsh import walsh_matrix
+from .states import LEFT, StateSpec, compressed_top_value, state_diagonal, weight_scale
 
 MAX_STEP_LEVEL = 8
 
@@ -61,23 +60,33 @@ def dyadic_weights(level: int, alpha: float) -> np.ndarray:
     return state_diagonal(StateSpec(alpha, level))
 
 
-def _walsh_signs(ns, level: int) -> np.ndarray:
-    """Classical Walsh values, one column per index in ``ns``: entry (k, n) is
-    prod_i (1 - 2 * (bit_{level-1-i}(k) & bit_i(n))), the factors that are 1 skipped."""
+def _walsh_functions(ns, level: int, alpha: float = 0.5) -> np.ndarray:
+    """Walsh functions, one column per index in ``ns``: entry (k, n) is the
+    product of the digits r_i(k) = 1 - 2 * bit_{level-1-i}(k) over the set
+    bits i of n, each digit normalized for the alpha-biased measure,
+    (r_i - (2 alpha - 1)) / (2 sqrt(alpha (1 - alpha))).
+
+    A normalized digit is sqrt((1-alpha)/alpha) where r_i = 1 and
+    -sqrt(alpha/(1-alpha)) where r_i = -1, taken in that closed form; at
+    alpha = 1/2 both are exactly 1, so the columns are the classical +-1
+    Walsh functions.  Other biases give functions orthonormal under the
+    dyadic weights.
+    """
+    plus, minus = math.sqrt((1.0 - alpha) / alpha), -math.sqrt(alpha / (1.0 - alpha))
     ks = np.arange(1 << level)[:, None]
     ns = np.asarray(ns)[None, :]
-    signs = np.ones((ks.shape[0], ns.shape[1]), dtype=np.complex128)
+    values = np.ones((ks.shape[0], ns.shape[1]), dtype=np.complex128)
     for i in range(level):
-        bits = (ks >> (level - 1 - i)) & 1
-        np.multiply(signs, 1.0 - 2.0 * bits, out=signs, where=((ns >> i) & 1).astype(bool))
-    return signs
+        digit = np.where((ks >> (level - 1 - i)) & 1, minus, plus)
+        np.multiply(values, digit, out=values, where=((ns >> i) & 1).astype(bool))
+    return values
 
 
 def classical_walsh_values(n: int, level: int) -> StepFunction:
     """Values of the n-th classical Walsh function on the level's intervals."""
     if not 0 <= n < (1 << level):
         raise ValueError(f"series index {n} out of range for level {level}")
-    return StepFunction(level=level, values=_walsh_signs([n], level)[:, 0])
+    return StepFunction(level=level, values=_walsh_functions([n], level)[:, 0])
 
 
 def diag_to_step(x) -> StepFunction:
@@ -147,19 +156,9 @@ def diag_index_map(n: int) -> int:
     return out
 
 
-def diagonal_walsh_matrix(n: int, level: int) -> np.ndarray:
-    """The diagonal-subsequence matrix whose diagonal is the n-th Walsh function."""
-    return walsh_matrix(diag_index_map(n), level)
-
-
 def classical_basis_matrix(level: int) -> np.ndarray:
     """Columns are the classical Walsh functions 0..2**level-1 (a +-1 matrix)."""
-    return _walsh_signs(np.arange(1 << level), level)
-
-
-def classical_partial_sum(f: StepFunction, n: int) -> StepFunction:
-    """Keep series coefficients 0..n of the step function."""
-    return StepFunction(level=f.level, values=classical_projection(n, f.level) @ f.values)
+    return _walsh_functions(np.arange(1 << level), level)
 
 
 def classical_projection(n: int, level: int) -> np.ndarray:
@@ -170,15 +169,21 @@ def classical_projection(n: int, level: int) -> np.ndarray:
     """
     if not 0 <= n < (1 << level):
         raise ValueError(f"partial-sum index {n} out of range for level {level}")
-    kept = _walsh_signs(np.arange(n + 1), level)
+    kept = _walsh_functions(np.arange(n + 1), level)
     return kept @ kept.T / 2**level
 
 
 def classical_norm_exact2(n: int, level: int, alpha: float) -> float:
-    """Exact weighted-L^2 norm of the classical partial-sum projection."""
+    """Exact weighted-L^2 norm of the classical partial-sum projection.
+
+    Its range is spanned by Walsh functions 0..n, and so by the first n + 1
+    functions orthonormalized for the biased measure, which give the r = n + 1
+    rows of ``states.compressed_top_value``.
+    """
     # A step function is a diagonal matrix: interval k carries the weight of column k.
     root = weight_scale(dyadic_weights(level, alpha), 2.0, LEFT).ravel()
-    return _similarity_top_value(classical_projection(n, level), root)
+    basis = _walsh_functions(np.arange(n + 1), level, alpha).T
+    return compressed_top_value(classical_projection(n, level), root, basis)
 
 
 def classical_norm_estimate(

@@ -283,6 +283,20 @@ def _from_factor_tensor(t: np.ndarray, m: int) -> np.ndarray:
     return t.transpose(list(range(b)) + rows + cols).reshape(batch + (1 << m, 1 << m))
 
 
+def _factor_tensor_maps(t: np.ndarray, maps: dict, batch: int) -> np.ndarray:
+    """Apply 4x4 maps to chosen factor axes of a factor tensor with ``batch`` leading axes.
+
+    Each map is one tensordot over the whole stack; the result may be a
+    non-contiguous view.
+    """
+    m = t.ndim - batch
+    for j, k4 in maps.items():
+        if not 0 <= j < m:
+            raise ValueError(f"factor index {j} out of range for m={m}")
+        t = np.moveaxis(np.tensordot(np.asarray(k4, dtype=np.complex128), t, axes=(1, batch + j)), 0, batch + j)
+    return t
+
+
 def apply_factor_maps(x, maps: dict, m: int | None = None) -> np.ndarray:
     """Apply 4x4 linear maps to chosen tensor factors of every matrix in a stack.
 
@@ -298,13 +312,7 @@ def apply_factor_maps(x, maps: dict, m: int | None = None) -> np.ndarray:
         m = level_of_dim(x.shape[-1])
     if m == 0:
         return x.copy()
-    t = _to_factor_tensor(x, m)
-    b = x.ndim - 2
-    for j, k4 in maps.items():
-        if not 0 <= j < m:
-            raise ValueError(f"factor index {j} out of range for m={m}")
-        t = np.moveaxis(np.tensordot(np.asarray(k4, dtype=np.complex128), t, axes=(1, b + j)), 0, b + j)
-    return _from_factor_tensor(t, m)
+    return _from_factor_tensor(_factor_tensor_maps(_to_factor_tensor(x, m), maps, x.ndim - 2), m)
 
 
 def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,25 +25,37 @@ from .states import (
     SIDES,
     LpContext,
     StateSpec,
-    _similarity_top_value,
     batched_weighted_lp_norm,
+    compressed_top_value,
     cond_expect,
     lp_norm,
     mart_diff,
+    orthonormal_stack,
     state_diagonal,
     weight_scale,
     weighted_lp_gradient,
 )
-from .walsh import PAPER, binary_digits, system_coefficients, system_synthesize, walsh_matrix, walsh_stack
+from .walsh import (
+    PAPER,
+    binary_digits,
+    system_coefficients,
+    system_synthesize,
+    walsh_coefficients,
+    walsh_matrix,
+    walsh_stack,
+)
 
 MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
 # The sign sweep holds every martingale difference of every probe at once;
 # refuse sweeps whose difference stack would outgrow this many bytes.
 MAX_SIGN_STACK_BYTES = 1 << 30
-# Bytes of one block of sign patterns' combined stack (one pattern at least);
-# its norm holds a few more arrays of that size: the weighted copy, the Gram
-# stack.
+# Bytes of one block of the sign sweep's combined stack: a run of patterns
+# over a run of probes.  Its norm holds a few more arrays of that size: the
+# weighted copy, the Gram stack.
 SIGN_BLOCK_BYTES = 1 << 24
+
+# An image's Walsh coefficient below this share of its largest one is rounding (``range_length``).
+RANGE_TOL = 1e-13
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
@@ -144,14 +156,6 @@ class BasisConstantRow:
     gap: float
 
 
-def cond_expect_handle(s: int, spec: StateSpec) -> OperatorHandle:
-    return OperatorHandle(spec.dim, lambda x: cond_expect(x, s, spec), f"E[{s}]")
-
-
-def mart_diff_handle(s: int, spec: StateSpec) -> OperatorHandle:
-    return OperatorHandle(spec.dim, lambda x: mart_diff(x, s, spec), f"D[{s}]")
-
-
 def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Keep expansion coefficients 0..n of x (or of each matrix in a stack) and resynthesize."""
     x = as_stack(x)
@@ -228,20 +232,41 @@ def identity_residual(
     return residual, norms
 
 
+def range_length(mat: np.ndarray, dim: int) -> int:
+    """1 + the largest Walsh index at which an image of a matrix unit has a coefficient.
+
+    One analysis pass over the columns of ``mat``, the images of the matrix
+    units.  A coefficient counts when it exceeds ``RANGE_TOL`` times the
+    largest coefficient of its own image, so the rounding left in an image
+    synthesized from other coefficients (meanzero mode: about 2e-16 of its
+    largest) does not count.  Every image then lies in the span of
+    w_0 .. w_(r-1).  A zero map gives 1.
+    """
+    coeffs = np.abs(walsh_coefficients(mat.T.reshape(-1, dim, dim)))
+    live = coeffs > RANGE_TOL * coeffs.max(axis=-1, keepdims=True)
+    hits = np.flatnonzero(live.any(axis=0))
+    return int(hits[-1]) + 1 if hits.size else 1
+
+
 def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormReport:
     """Exact operator norm of T on the weighted p=2 matrix space of the state.
 
     The weighted inner product Tr(x* y A) (left) or Tr(x* A y) (right) is
     diagonalized by rescaled matrix units, so the norm is the top singular
-    value of the similarity-transformed superoperator.
+    value of the similarity-transformed superoperator.  Its range lies in the
+    span of w_0 .. w_(r-1) (``range_length``), which the first r elements of
+    the state-orthonormal Walsh basis span as well, so the value comes from
+    the r rows of the similarity on that basis (``compressed_top_value``).
     """
     w = state_diagonal(spec)
     if np.any(w <= 0):
         raise ValueError("density must be positive definite")
     d = T.dim
+    mat = T.matrix()
     # Matrix unit (i, j) in row-major vec order carries the weight of its column (left) or row (right).
     root = np.broadcast_to(weight_scale(w, 2.0, side), (d, d)).ravel()
-    return NormReport(value=_similarity_top_value(T.matrix(), root), method=EXACT2)
+    basis = orthonormal_stack(spec, range_length(mat, d), side).reshape(-1, d * d)
+    return NormReport(value=compressed_top_value(mat, root, basis), method=EXACT2)
 
 
 def multistart_ascent(
@@ -486,24 +511,35 @@ def unconditionality_constant(
         np.subtract(current, previous, out=diff_parts[s])
         previous = current
 
-    def chunk_maxima(block: np.ndarray) -> np.ndarray:
-        combined = mean_part[None, :, :, :] + np.tensordot(block, diff_parts, axes=(1, 0))
+    def block_maxima(block: tuple[slice, slice]) -> np.ndarray:
+        rows, probes = block
+        combined = mean_part[None, probes] + np.tensordot(patterns[rows], diff_parts[:, probes], axes=(1, 0))
         norms = batched_weighted_lp_norm(
             combined.reshape(-1, d, d), weights, ctx.p, ctx.side
-        ).reshape(block.shape[0], -1)
-        return (norms / base_norms[None, :]).max(axis=1)
+        ).reshape(combined.shape[0], -1)
+        return (norms / base_norms[None, probes]).max(axis=1)
 
-    chunk = max(1, SIGN_BLOCK_BYTES // (xs.shape[0] * d * d * xs.itemsize))
-    blocks = [patterns[start : start + chunk] for start in range(0, patterns.shape[0], chunk)]
+    # A block holds whole patterns over a run of probes; one pattern is split
+    # over several probe runs only when its own stack outgrows the budget.
+    probe_chunk = max(1, min(xs.shape[0], SIGN_BLOCK_BYTES // (d * d * xs.itemsize)))
+    chunk = max(1, SIGN_BLOCK_BYTES // (probe_chunk * d * d * xs.itemsize))
+    blocks = [
+        (slice(start, start + chunk), slice(first, first + probe_chunk))
+        for start in range(0, patterns.shape[0], chunk)
+        for first in range(0, xs.shape[0], probe_chunk)
+    ]
     if workers <= 1 or len(blocks) == 1:
-        per_block = [chunk_maxima(b) for b in blocks]
+        block_max = [block_maxima(b) for b in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(chunk_maxima, blocks))
+            block_max = list(pool.map(block_maxima, blocks))
 
-    row_max = np.concatenate(per_block)
+    # The probe runs of one pattern run combine by max.
+    row_max = np.zeros(patterns.shape[0])
+    for (rows, _), maxima in zip(blocks, block_max):
+        row_max[rows] = np.maximum(row_max[rows], maxima)
     pattern_maxima: dict | None = None
     if mode == "exhaustive":
         pattern_maxima = {

@@ -1,6 +1,7 @@
-"""Biased product states, weighted L^p norms, modular flow, and the
+"""Biased product states, weighted L^p norms, modular flow, the
 state-preserving conditional-expectation filtration with its martingale
-differences.
+differences, and the Walsh basis orthonormalized for a state's weighted p = 2
+inner product, on which the exact p = 2 norms are taken.
 
 The filtration step s runs over [-1, 2m-1].  Step 2t-1 keeps the first t
 tensor factors in full; step 2t additionally admits the diagonal of factor t.
@@ -26,11 +27,13 @@ import numpy as np
 
 from .linalg import (
     MAX_LEVEL,
+    _gram_norms,
     apply_factor_maps,
     as_matrix,
     as_stack,
     schatten_norm,
 )
+from .walsh import GEN_FLIP, GEN_IDENTITY, _synthesize, mean_zero_block
 
 LEFT = "left"
 RIGHT = "right"
@@ -179,15 +182,56 @@ def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> 
     return np.where(live[..., np.newaxis], grad, 0.0) * scale
 
 
-def _similarity_top_value(mat: np.ndarray, root: np.ndarray) -> float:
-    """Top singular value of diag(root) mat diag(root)^-1.
+def orthonormal_kernel(bias: float, side: str = LEFT) -> np.ndarray:
+    """Synthesis kernel of one factor's generators, orthonormalized under diag(b, 1-b).
 
-    The operator norm of ``mat`` for the inner product sum_k root_k**2
-    conj(x_k) y_k, in which the unit vectors scaled by 1/root are orthonormal.
-    ``schatten_norm`` at p = inf takes it from the top eigenvalue of the
-    similarity's Gram matrix, not from an SVD.
+    Gram-Schmidt of I, diag(1, -1), the flip and the rotation, in that order,
+    for the factor's inner product Tr(x* y D) (left) or Tr(x* D y) (right),
+    comes out in closed form with no cancellation; with r = sqrt((1-b)/b) and
+    q = sqrt(b/(1-b)) it is I, ``mean_zero_block(b)`` = diag(r, -q), the flip,
+    and [[0, q], [-r, 0]] (left) or [[0, r], [-q, 0]] (right).  Column k holds
+    the (00, 01, 10, 11) entries of element k, as in the Walsh synthesis kernel.
     """
-    return schatten_norm((root[:, np.newaxis] * mat) / root[np.newaxis, :], np.inf)
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    b = float(bias)
+    r, q = math.sqrt((1.0 - b) / b), math.sqrt(b / (1.0 - b))
+    top, bottom = (q, -r) if side == LEFT else (r, -q)
+    return np.column_stack(
+        [GEN_IDENTITY.ravel(), mean_zero_block(b).ravel(), GEN_FLIP.ravel(), (0.0, top, bottom, 0.0)]
+    ).astype(np.complex128)
+
+
+def orthonormal_stack(spec: StateSpec, count: int, side: str = LEFT) -> np.ndarray:
+    """The first ``count`` elements e_0, e_1, ... of the state-orthonormal Walsh basis, shape (count, d, d).
+
+    e_n is the tensor product of ``orthonormal_kernel`` elements, the one of
+    factor j picked by base-4 digit j of n under that factor's bias.  The
+    elements are orthonormal for the state's weighted p = 2 inner product, and
+    e_n lies in the span of the Walsh matrices w_k whose every base-4 digit is
+    at most that of n, so e_0 .. e_(r-1) span the same space as w_0 .. w_(r-1)
+    for every r.
+    """
+    if not 1 <= count <= 4**spec.m:
+        raise ValueError(f"basis size {count} out of range [1, {4**spec.m}] for level m={spec.m}")
+    kernels = [orthonormal_kernel(b, side) for b in spec.biases]
+    return _synthesize(np.eye(count, 4**spec.m, dtype=np.complex128), spec.m, kernels)
+
+
+def compressed_top_value(mat: np.ndarray, root: np.ndarray, basis: np.ndarray) -> float:
+    """Top singular value of S = diag(root) mat diag(root)^-1 from its rows on a basis of its range.
+
+    The value is the operator norm of ``mat`` for the inner product
+    sum_k root_k**2 conj(x_k) y_k.  The r rows of ``basis`` must be
+    orthonormal for that inner product and span a space that holds the range
+    of ``mat``; then the vectors root * basis_k are orthonormal and hold the
+    range of S, so ||S|| is the top singular value of the r x N matrix
+    (root * basis)* S, at O(N**2 r) cost instead of the O(N**3) of S's own
+    Gram matrix.  That value comes from the top eigenvalue of the r x r Gram
+    matrix, scaled into float range if need be.
+    """
+    rows = ((basis.conj() * (root * root)) @ mat) / root
+    return float(_gram_norms(rows.conj().T[np.newaxis], np.inf)[0])
 
 
 def lp_norm(x, ctx: LpContext) -> float | np.ndarray:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    _factor_tensor_maps,
     _from_factor_tensor,
     _to_factor_tensor,
-    apply_factor_maps,
     as_matrix,
     as_stack,
     kron,
@@ -195,21 +195,23 @@ def _analyse(x, kernel: np.ndarray) -> np.ndarray:
     x = as_stack(x)
     m = level_of_dim(x.shape[-1])
     batch = x.shape[:-2]
-    y = apply_factor_maps(x, {j: kernel for j in range(m)}, m)
-    # apply_factor_maps returns matrix layout; re-read it as the coefficient tensor.
-    t = _to_factor_tensor(y, m).transpose(_coefficient_order(m, len(batch)))
+    # The factor maps run on the factor tensor, whose axis i then carries q_i.
+    t = _factor_tensor_maps(_to_factor_tensor(x, m), {j: kernel for j in range(m)}, len(batch))
+    t = t.transpose(_coefficient_order(m, len(batch)))
     return np.ascontiguousarray(t).reshape(batch + (4**m,))
 
 
-def _synthesize(c, m: int, kernel: np.ndarray) -> np.ndarray:
-    """Inverse of _analyse: a (..., 4**m) coefficient stack to (..., 2**m, 2**m)."""
+def _synthesize(c, m: int, kernels) -> np.ndarray:
+    """A (..., 4**m) coefficient stack to (..., 2**m, 2**m) with one 4x4 synthesis kernel per factor.
+
+    With ``m`` copies of the inverse of _analyse's kernel this inverts _analyse.
+    """
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim == 0 or c.shape[-1] != 4**m:
         raise ValueError(f"expected {4 ** m} coefficients for level m={m}, got shape {c.shape}")
     batch = c.shape[:-1]
-    t = c.reshape(batch + (4,) * m).transpose(_coefficient_order(m, len(batch)))
-    y = _from_factor_tensor(t, m)
-    return apply_factor_maps(y, {j: kernel for j in range(m)}, m)
+    t = np.ascontiguousarray(c.reshape(batch + (4,) * m).transpose(_coefficient_order(m, len(batch))))
+    return _from_factor_tensor(_factor_tensor_maps(t, dict(enumerate(kernels)), len(batch)), m)
 
 
 def walsh_coefficients(x) -> np.ndarray:
@@ -234,7 +236,7 @@ def walsh_coefficients_naive(x) -> np.ndarray:
 
 def walsh_synthesize(c, m: int) -> np.ndarray:
     """Rebuild sum_n c_n w_n from coefficients of shape (..., 4**m)."""
-    return _synthesize(c, m, SYNTHESIS_KERNEL)
+    return _synthesize(c, m, [SYNTHESIS_KERNEL] * m)
 
 
 def _meanzero_kernels(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +255,7 @@ def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.nd
     """Inverse of system_coefficients for the same (alpha, mode)."""
     if _check_mode(mode) == PAPER:
         return walsh_synthesize(c, m)
-    return _synthesize(c, m, _meanzero_kernels(alpha)[1])
+    return _synthesize(c, m, [_meanzero_kernels(alpha)[1]] * m)
 
 
 def coefficients_to_json(c, m: int) -> dict:

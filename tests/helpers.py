@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from walshlab.linalg import dagger, gaussian_matrix, task_rng
+from walshlab.classical import classical_projection, dyadic_weights
+from walshlab.linalg import dagger, gaussian_matrix, schatten_norm, task_rng
 from walshlab.schauder import ASCENT_TOL, MAX_ASCENT_ITER
+from walshlab.states import LEFT, state_diagonal, weight_scale
 
 
 def random_matrix(m: int, seed: int) -> np.ndarray:
@@ -112,3 +114,25 @@ def sequential_ascent(mat, draw, norm_of, norm_gradient, restarts, seed, tol=ASC
         if value > best:
             best, best_converged = value, converged
     return best, best_converged
+
+
+def dense_top_value(mat: np.ndarray, root: np.ndarray) -> float:
+    """Dense p = 2 oracle: top singular value of the whole similarity diag(root) mat diag(root)^-1.
+
+    Takes the top eigenvalue of its N x N Gram matrix (``schatten_norm`` at
+    p = inf), O(N**3); the engines compress it to r rows first.
+    """
+    return schatten_norm((root[:, np.newaxis] * mat) / root[np.newaxis, :], np.inf)
+
+
+def dense_exact_norm_p2(handle, spec, side=LEFT) -> float:
+    """``schauder.exact_norm_p2`` on the dense similarity of the handle's matrix."""
+    d = handle.dim
+    root = np.broadcast_to(weight_scale(state_diagonal(spec), 2.0, side), (d, d)).ravel()
+    return dense_top_value(handle.matrix(), root)
+
+
+def dense_classical_norm_exact2(n: int, level: int, alpha: float) -> float:
+    """``classical.classical_norm_exact2`` on the dense similarity of the projection."""
+    root = weight_scale(dyadic_weights(level, alpha), 2.0, LEFT).ravel()
+    return dense_top_value(classical_projection(n, level), root)

@@ -3,19 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import sequential_ascent
+from helpers import dense_classical_norm_exact2, sequential_ascent
 from walshlab import classical
 from walshlab.classical import (
     StepFunction,
     classical_basis_matrix,
     classical_norm_estimate,
     classical_norm_exact2,
-    classical_partial_sum,
     classical_projection,
     classical_walsh_values,
     diag_index_map,
     diag_to_step,
-    diagonal_walsh_matrix,
     dyadic_weights,
     mu_weight,
     step_lp_norm,
@@ -71,7 +69,7 @@ def test_diag_to_step_examples():
     assert np.array_equal(diag_to_step(np.eye(4)).values, np.ones(4))
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(diag_to_step(np.diag(vals)).values, vals)
-    z1 = diagonal_walsh_matrix(1, 2)
+    z1 = walsh_matrix(diag_index_map(1), 2)
     assert np.array_equal(diag_to_step(z1).values, [1, 1, -1, -1])
     with pytest.raises(ValueError):
         diag_to_step(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -103,9 +101,9 @@ def test_diag_index_map_examples():
 def test_subsequence_matches_matrix_diagonals_exactly():
     for m in range(1, 7):
         for n in range(1 << m):
-            mat = diagonal_walsh_matrix(n, m)
+            mat = walsh_matrix(diag_index_map(n), m)
             assert np.array_equal(np.diag(mat), classical_walsh_values(n, m).values)
-            assert np.array_equal(mat, walsh_matrix(diag_index_map(n), m))
+            assert np.array_equal(mat, np.diag(np.diag(mat)))
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 3, 6]), st.sampled_from(PS), st.sampled_from(ALPHAS))
@@ -118,21 +116,30 @@ def test_norm_correspondence(seed, m, p, alpha):
     assert abs(matrix_side - function_side) < 1e-11
 
 
-def test_classical_partial_sum_truncates_series():
-    level = 3
-    basis = classical_basis_matrix(level)
-    coeffs = np.arange(1.0, 9.0)
-    f = StepFunction(level, basis @ coeffs)
-    g = classical_partial_sum(f, 4)
-    expected = basis[:, :5] @ coeffs[:5]
-    assert np.allclose(g.values, expected, atol=1e-12)
-    with pytest.raises(ValueError):
-        classical_partial_sum(f, 8)
-
-
 def test_classical_projection_norms_tracial():
     for n in range(8):
         assert abs(classical_norm_exact2(n, 3, 0.5) - 1) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-2, 1e-4])
+def test_classical_norm_exact2_matches_dense_oracle(alpha):
+    for level in range(1, 9):
+        ns = range(1 << level) if level <= 5 else list(range(0, 1 << level, 1 << (level - 4))) + [(1 << level) - 1]
+        for n in ns:
+            value = classical_norm_exact2(n, level, alpha)
+            oracle = dense_classical_norm_exact2(n, level, alpha)
+            assert abs(value - oracle) <= 1e-13 * oracle, (level, n, value, oracle)
+
+
+def test_biased_walsh_functions_are_orthonormal():
+    # Products of the normalized biased digits are orthonormal under the dyadic weights;
+    # at alpha = 1/2 they are the classical +-1 Walsh functions.
+    for alpha in (0.3, 1e-4):
+        for level in (1, 4, 6):
+            cols = classical._walsh_functions(np.arange(1 << level), level, alpha)
+            gram = cols.conj().T @ (dyadic_weights(level, alpha)[:, np.newaxis] * cols)
+            assert np.max(np.abs(gram - np.eye(1 << level))) <= 1e-12, (alpha, level)
+    assert np.array_equal(classical._walsh_functions(np.arange(16), 4, 0.5), classical_basis_matrix(4))
 
 
 def test_classical_projection_norm_cross_method():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_units, probe_matrix, random_matrix, sequential_ascent
+from helpers import dense_exact_norm_p2, matrix_units, probe_matrix, random_matrix, sequential_ascent
 from walshlab import schauder
 from walshlab.linalg import gaussian_matrix, task_rng
 from walshlab.states import (
@@ -27,29 +27,38 @@ from walshlab.schauder import (
     OperatorHandle,
     basis_constant_row,
     basis_constant_sweep,
-    cond_expect_handle,
     decomposition_handle,
     estimate_norm_lp,
     exact_norm_p2,
     identity_residual,
-    mart_diff_handle,
     multistart_ascent,
     partial_sum,
     partial_sum_handle,
+    range_length,
     sign_sweep_stack_bytes,
     subset_projection,
     subset_projection_handle,
     unconditionality_constant,
 )
 from walshlab.tensor import TensorContext, max_shell_index, tensor_partial_sum
-from walshlab.walsh import MEANZERO, PAPER, walsh_matrix
+from walshlab.walsh import MEANZERO, PAPER, walsh_coefficients, walsh_matrix
 
 W = walsh_matrix
 
 
+def expectation_handle(s: int, spec: StateSpec) -> OperatorHandle:
+    """E_s as the subset projection over steps -1..s."""
+    return subset_projection_handle(range(-1, s + 1), spec)
+
+
+def difference_handle(s: int, spec: StateSpec) -> OperatorHandle:
+    """D_s as the subset projection over step s alone."""
+    return subset_projection_handle([s], spec)
+
+
 def test_handle_functional_and_explicit_agree():
     spec = StateSpec(0.3, 2)
-    handle = cond_expect_handle(2, spec)
+    handle = expectation_handle(2, spec)
     explicit = OperatorHandle.from_matrix(handle.matrix())
     for seed in range(3):
         x = random_matrix(2, seed)
@@ -169,7 +178,7 @@ def test_exact_norm_identity_and_expectations():
         sp = StateSpec(alpha, 2)
         for s in range(-1, 4):
             for side in ("left", "right"):
-                rep = exact_norm_p2(cond_expect_handle(s, sp), sp, side)
+                rep = exact_norm_p2(expectation_handle(s, sp), sp, side)
                 assert abs(rep.value - 1) < 1e-10, (alpha, s, side)
 
 
@@ -178,6 +187,106 @@ def test_exact_norm_p2_closed_form():
     rep = exact_norm_p2(partial_sum_handle(2, 1, 0.3), spec)
     assert abs(rep.value - (1 - (1 - 2 * 0.3) ** 2) ** -0.5) < 1e-12
     assert rep.method == EXACT2 and rep.converged
+
+
+ORACLE_ALPHAS = (0.5, 0.3, 0.1, 1e-2, 1e-4)
+
+
+def _oracle_handles(m: int, alpha: float):
+    """Every P_n in both modes, every decomposition operator, every E_s and D_s at level m."""
+    spec = StateSpec(alpha, m)
+    for n in range(4**m):
+        yield partial_sum_handle(n, m, alpha, PAPER)
+        yield partial_sum_handle(n, m, alpha, MEANZERO)
+        yield decomposition_handle(n, spec)
+    for s in range(-1, 2 * m):
+        yield expectation_handle(s, spec)
+        if s >= 0:
+            yield difference_handle(s, spec)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_exact_norm_p2_matches_dense_oracle(alpha):
+    for m in (1, 2, 3):
+        spec = StateSpec(alpha, m)
+        for handle in _oracle_handles(m, alpha):
+            for side in ("left", "right"):
+                value = exact_norm_p2(handle, spec, side).value
+                oracle = dense_exact_norm_p2(handle, spec, side)
+                assert abs(value - oracle) <= 1e-13 * oracle, (m, handle.label, side, value, oracle)
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 1), (1, 2), (2, 1)])
+def test_exact_norm_p2_matches_dense_oracle_on_tensor_partial_sums(m1, m2):
+    for a1, a2 in ((0.3, 0.1), (1e-4, 0.5), (0.5, 1e-2)):
+        ctx = TensorContext(StateSpec(a1, m1), StateSpec(a2, m2))
+        for n in range(max_shell_index(ctx) + 1):
+            handle = OperatorHandle(ctx.dim, lambda x, n=n: tensor_partial_sum(x, n, ctx), f"Q[{n}]")
+            for side in ("left", "right"):
+                value = exact_norm_p2(handle, ctx, side).value
+                oracle = dense_exact_norm_p2(handle, ctx, side)
+                assert abs(value - oracle) <= 1e-13 * oracle, (a1, a2, n, side, value, oracle)
+
+
+def test_exact_norm_p2_of_full_range_and_zero_maps():
+    # Explicit and identity handles need no special case: their r is 4**m.
+    spec = StateSpec(1e-2, 2)
+    mat = gaussian_matrix(16, task_rng(31))
+    for handle in (OperatorHandle.from_matrix(mat), OperatorHandle.identity(4)):
+        assert range_length(handle.matrix(), 4) == 16
+        for side in ("left", "right"):
+            oracle = dense_exact_norm_p2(handle, spec, side)
+            assert abs(exact_norm_p2(handle, spec, side).value - oracle) <= 1e-13 * oracle
+    zero = OperatorHandle.from_matrix(np.zeros((16, 16)))
+    assert range_length(zero.matrix(), 4) == 1
+    assert exact_norm_p2(zero, spec).value == 0.0
+
+
+def test_range_length_of_projections_and_zero_coefficients_above_it():
+    # r = n + 1 for P_n (both modes) and 2**(smax + 1) for a decomposition
+    # operator whose largest set digit is smax; the images have no Walsh
+    # coefficient at r or above (meanzero images: rounding below RANGE_TOL).
+    for alpha in (0.3, 0.1, 1e-4):
+        for m in (1, 2, 3):
+            spec = StateSpec(alpha, m)
+            cases = [(partial_sum_handle(n, m, alpha, mode), n + 1, mode == PAPER)
+                     for n in range(4**m) for mode in (PAPER, MEANZERO)]
+            cases += [(decomposition_handle(n, spec), 1 << n.bit_length(), True) for n in range(4**m)]
+            cases += [(expectation_handle(s, spec), 1 << (s + 1), True) for s in range(-1, 2 * m)]
+            cases += [(difference_handle(s, spec), 1 << (s + 1), True) for s in range(2 * m)]
+            for handle, r, exact_zeros in cases:
+                mat = handle.matrix()
+                assert range_length(mat, spec.dim) == r, (alpha, m, handle.label)
+                coeffs = np.abs(walsh_coefficients(mat.T.reshape(-1, spec.dim, spec.dim)))
+                above = coeffs[:, r:]
+                if exact_zeros:
+                    assert np.all(above == 0.0), (alpha, m, handle.label)
+                else:
+                    assert np.all(above <= schauder.RANGE_TOL * coeffs.max(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_decomposition_operators_have_p2_norm_one(alpha):
+    # rho(.)I + a sum of differences is an orthogonal projection in the state's inner product.
+    for m in (1, 2, 3):
+        spec = StateSpec(alpha, m)
+        for n in range(4**m):
+            for side in ("left", "right"):
+                value = exact_norm_p2(decomposition_handle(n, spec), spec, side).value
+                assert abs(value - 1.0) <= 1e-14, (m, n, side, value)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1e-4])
+def test_p2_basis_constant_closed_form(alpha):
+    # sup_n ||P_n||_2 = ||P_0||_2 = (4 alpha (1 - alpha))**(-m/2), on both sides for P_0.
+    for m in (1, 2, 3, 4):
+        spec = StateSpec(alpha, m)
+        target = (4 * alpha * (1 - alpha)) ** (-m / 2)
+        for side in ("left", "right"):
+            value = exact_norm_p2(partial_sum_handle(0, m, alpha), spec, side).value
+            assert abs(value - target) <= 1e-14 * target, (m, side, value, target)
+        sup = max(exact_norm_p2(partial_sum_handle(n, m, alpha), spec).value for n in range(min(64, 4**m)))
+        assert abs(sup - target) <= 1e-14 * target, (m, sup, target)
 
 
 def test_exact_norm_rejects_degenerate_weights():
@@ -222,7 +331,7 @@ def test_estimator_identity_all_exponents():
 
 def test_estimator_expectation_contraction_attained_at_identity():
     spec = StateSpec(0.3, 1)
-    rep = estimate_norm_lp(cond_expect_handle(0, spec), LpContext(3.0, spec), restarts=8, seed=6)
+    rep = estimate_norm_lp(expectation_handle(0, spec), LpContext(3.0, spec), restarts=8, seed=6)
     assert abs(rep.value - 1) < 1e-6
 
 
@@ -267,7 +376,7 @@ def test_lockstep_ascent_matches_sequential_oracle(m, monkeypatch):
     handles = (
         [partial_sum_handle(n, m, 0.3) for n in range(0, 4**m, 3)]
         + [decomposition_handle(n, spec) for n in range(0, 4**m, 5)]
-        + [cond_expect_handle(s, spec) for s in range(-1, 2 * m)]
+        + [expectation_handle(s, spec) for s in range(-1, 2 * m)]
     )
     cases = [
         (handle, LpContext(p, spec, side))
@@ -435,9 +544,9 @@ def _handles_at(m):
     yield f"P[meanzero] m={m}", partial_sum_handle(min(6, last), m, 0.3, MEANZERO)
     yield f"decomposition m={m}", decomposition_handle(min(11, last), spec)
     for s in (-1, 0, 2 * m - 2, 2 * m - 1):
-        yield f"E[{s}] m={m}", cond_expect_handle(s, spec)
+        yield f"E[{s}] m={m}", expectation_handle(s, spec)
     for s in (0, 2 * m - 1):
-        yield f"D[{s}] m={m}", mart_diff_handle(s, spec)
+        yield f"D[{s}] m={m}", difference_handle(s, spec)
 
 
 def _tensor_handles():
@@ -465,8 +574,8 @@ def test_handle_call_maps_a_stack():
         assert out.shape == xs.shape, label
         for idx in np.ndindex(2, 3):
             assert np.max(np.abs(out[idx] - handle(xs[idx]))) <= 1e-14, label
-    explicit = OperatorHandle.from_matrix(mart_diff_handle(1, spec).matrix())
-    assert np.max(np.abs(explicit(xs) - mart_diff_handle(1, spec)(xs))) <= 1e-13
+    explicit = OperatorHandle.from_matrix(difference_handle(1, spec).matrix())
+    assert np.max(np.abs(explicit(xs) - difference_handle(1, spec)(xs))) <= 1e-13
 
 
 def _sign_sweep_reference(ctx, mode, trials, seed, pattern_samples=256):
@@ -510,6 +619,31 @@ def test_unconditionality_matches_per_probe_reference(m, mode, p, trials):
         assert len(rep.pattern_maxima) == len(maxima)
         for got, want in zip(rep.pattern_maxima.values(), maxima):
             assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("mode, trials", [("exhaustive", 40), ("sampled", 300)])
+def test_unconditionality_splits_probes_when_one_pattern_outgrows_the_budget(mode, trials, monkeypatch):
+    ctx = LpContext(3.0, StateSpec(0.3, 2))
+    whole = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    budget = 7 * 16 * 16  # seven 4x4 complex matrices, far below one pattern's stack
+    stacks = []
+    norm = schauder.batched_weighted_lp_norm
+
+    def recording(xs, *args, **kwargs):
+        stacks.append(np.asarray(xs).nbytes)
+        return norm(xs, *args, **kwargs)
+
+    monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", budget)
+    monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
+    for workers in (1, 2):
+        stacks.clear()
+        split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20, workers=workers)
+        blocks = stacks[1:]  # the first call takes the probes' own norms
+        patterns = 16 if mode == "exhaustive" else 20
+        assert len(blocks) > patterns  # every pattern took several probe runs
+        assert max(blocks) <= budget
+        assert split.max_ratio == whole.max_ratio
+        assert split.pattern_maxima == whole.pattern_maxima
 
 
 def test_unconditionality_refuses_oversized_stack_before_building_probes():

@@ -3,23 +3,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_matrix
+from helpers import dense_top_value, random_matrix
 from walshlab.linalg import gns_inner, schatten_norm
 from walshlab.states import (
     LpContext,
     StateSpec,
     batched_weighted_lp_norm,
+    compressed_top_value,
     cond_expect,
     lp_norm,
     mart_diff,
     modular_flow,
+    orthonormal_kernel,
+    orthonormal_stack,
     rho_value,
     state_density,
     state_diagonal,
     weighted_lp_gradient,
     weighted_lp_norm,
 )
-from walshlab.walsh import block_support, walsh_coefficients, walsh_matrix
+from walshlab.tensor import TensorContext
+from walshlab.walsh import GENERATORS, block_support, walsh_coefficients, walsh_matrix
 
 ALPHAS = (0.5, 0.3, 0.1)
 PS = (1.0, 1.5, 2.0, 3.0, np.inf)
@@ -325,3 +329,67 @@ def test_weighted_lp_gradient_matches_finite_differences(p, side):
             fd = (weighted_lp_norm(x + h * direction, w, p, side)
                   - weighted_lp_norm(x - h * direction, w, p, side)) / (2 * h)
             assert abs(np.sum(grad.conj() * direction).real - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+def _weighted_gram(stack, spec, side):
+    """Gram matrix Tr(x_a* x_b A) (left) or Tr(x_a* A x_b) (right) of a stack."""
+    w = state_diagonal(spec)
+    scale = w[np.newaxis, :] if side == "left" else w[:, np.newaxis]
+    flat = stack.reshape(len(stack), -1)
+    return flat.conj() @ (stack * scale).reshape(len(stack), -1).T
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bias", [0.5, 0.3, 0.1, 1e-2, 1e-4])
+def test_orthonormal_kernel_is_gram_schmidt_of_the_generators(bias, side):
+    # Gram-Schmidt of I, diag(1, -1), flip, rotation under diag(b, 1-b), taken numerically.
+    spec = StateSpec(bias, 1)
+    done = []
+    for g in GENERATORS:
+        v = g.astype(np.complex128)
+        for e in done:
+            v = v - _weighted_gram(np.stack([e, v]), spec, side)[0, 1] * e
+        done.append(v / np.sqrt(_weighted_gram(v[np.newaxis], spec, side)[0, 0].real))
+    closed = orthonormal_kernel(bias, side).T.reshape(4, 2, 2)
+    assert np.max(np.abs(closed - np.stack(done))) <= 1e-12 * np.max(np.abs(closed))
+    with pytest.raises(ValueError):
+        orthonormal_kernel(bias, "middle")
+
+
+BASIS_STATES = (
+    StateSpec(0.3, 1),
+    StateSpec(1e-4, 2),
+    StateSpec(0.1, 3),
+    TensorContext(StateSpec(0.3, 1), StateSpec(1e-2, 2)),
+    TensorContext(StateSpec(1e-4, 2), StateSpec(0.5, 1)),
+)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_orthonormal_stack_is_orthonormal_and_spans_walsh_prefixes(side):
+    for spec in BASIS_STATES:
+        n = 4**spec.m
+        basis = orthonormal_stack(spec, n, side)
+        assert basis.shape == (n, spec.dim, spec.dim)
+        gram = _weighted_gram(basis, spec, side)
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12, (spec, side)
+        # e_k has no Walsh coefficient above k, so every prefix spans w_0 .. w_(r-1).
+        coeffs = walsh_coefficients(basis)
+        assert np.all(np.triu(coeffs, 1) == 0), (spec, side)
+        assert np.all(np.abs(np.diagonal(coeffs)) > 0), (spec, side)
+        assert np.array_equal(orthonormal_stack(spec, 3, side), basis[:3])
+        with pytest.raises(ValueError):
+            orthonormal_stack(spec, n + 1, side)
+
+
+def test_compressed_top_value_matches_dense_similarity():
+    # A map whose range is a known subspace, compressed to an orthonormal basis of it.
+    rng = np.random.default_rng(4)
+    n, r = 32, 5
+    root = np.sqrt(rng.uniform(1e-4, 1.0, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+    basis = (q / root[:, np.newaxis]).T  # rows orthonormal for sum root**2 conj(x) y
+    mat = basis.T @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
+    value = compressed_top_value(mat, root, basis)
+    assert abs(value - dense_top_value(mat, root)) <= 1e-13 * value
+    assert compressed_top_value(np.zeros((n, n)), root, basis) == 0.0
