@@ -8,12 +8,13 @@ Cases: ``exact_norm_p2`` of the partial sum P_n at m = 1..4 for n in
 levels 1..8 for n in {0, 15, 2**level - 1} (alpha = 0.3); an n outside the
 level is skipped.  The oracle is the dense engine of ``tests/helpers.py``,
 the top eigenvalue of the whole N x N similarity's Gram matrix.  A
-partial-sum handle is built and materialized outside the timed calls, so the
-matrix cases time the engines alone; the classical cases include building
-the 2**level x 2**level projection, which both engines do.  Each case runs
-once untimed as a warm-up, then ``--runs`` times per engine; the record holds
-the minimum and median seconds of each, the engine's row count r, and the
-relative difference of the two values.
+partial-sum handle is built outside the timed calls and materialized by the
+untimed warm-up, so the matrix cases time the engines alone; the classical
+cases include building the 2**level x 2**level projection, which both
+engines do.  Each case runs once untimed as a warm-up, then ``--runs`` times
+per engine; the record holds the minimum and median seconds of each, the
+engine's row count r (``handle.rows``), and the relative difference of the
+two values.
 """
 
 import argparse
@@ -30,7 +31,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from helpers import dense_classical_norm_exact2, dense_exact_norm_p2  # noqa: E402
 from walshlab.classical import classical_norm_exact2  # noqa: E402
-from walshlab.schauder import exact_norm_p2, partial_sum_handle, range_length  # noqa: E402
+from walshlab.schauder import exact_norm_p2, partial_sum_handle  # noqa: E402
 from walshlab.states import StateSpec  # noqa: E402
 
 ALPHA = 0.3
@@ -70,7 +71,7 @@ def main() -> int:
         spec = StateSpec(ALPHA, m)
         for n in sorted({0, 15, 4**m - 1} & set(range(4**m))):
             handle = partial_sum_handle(n, m, ALPHA)
-            rows = range_length(handle.matrix(), spec.dim)
+            rows = handle.rows
             cases.append(record(
                 "matrix", m, n, rows,
                 lambda: exact_norm_p2(handle, spec).value,

@@ -12,7 +12,6 @@ from .linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    psd_power,
     schatten_norm,
 )
 from .states import (

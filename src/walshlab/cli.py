@@ -43,7 +43,6 @@ from .schauder import (
     EXACT2,
     MAX_EXPLICIT_LEVEL,
     MAX_SIGN_STACK_BYTES,
-    OperatorHandle,
     basis_constant_sweep,
     estimate_norm_lp,
     exact_norm_p2,
@@ -52,7 +51,7 @@ from .schauder import (
     unconditionality_constant,
 )
 from .classical import classical_norm_estimate, classical_norm_exact2
-from .tensor import TensorContext, max_shell_index, shell_pair, tensor_partial_sum
+from .tensor import TensorContext, max_shell_index, shell_pair, tensor_partial_sum_handle
 from .walsh import (
     MODES,
     PAPER,
@@ -425,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_walsh(args, argv) -> int:
+    if args.index >= 4**args.level:
+        raise ValueError(f"--index {args.index} out of range for --level {args.level} (max {4**args.level - 1})")
     w = walsh_matrix(args.index, args.level, args.alpha, args.mode)
     payload = json.dumps(matrix_to_json(w))
     if args.out:
@@ -491,12 +492,16 @@ def _check_explicit_level(level: int, flags: str) -> None:
 
 def _cmd_basis_constants(args, argv) -> int:
     _check_explicit_level(args.level, "--level")
+    n_max = args.nmax if args.nmax is not None else 4**args.level - 1
+    if n_max >= 4**args.level:
+        raise ValueError(f"--nmax {n_max} out of range for --level {args.level} (max {4**args.level - 1})")
+    if args.method == EXACT2 and args.p != 2:
+        raise ValueError(f"--method exact2 applies only at --p 2 (got --p {args.p})")
     spec = StateSpec(args.alpha, args.level)
     ctx = LpContext(args.p, spec, args.side)
     if args.method == ESTIMATE and args.seed is None:
         raise ValueError("--seed is required for the stochastic estimate method")
     seed = args.seed if args.seed is not None else 0
-    n_max = args.nmax if args.nmax is not None else 4**args.level - 1
     rows = basis_constant_sweep(
         ctx,
         n_max,
@@ -579,7 +584,7 @@ def _cmd_tensor_sweep(args, argv) -> int:
     seed = args.seed if args.seed is not None else 0
 
     def cell(n: int):
-        handle = OperatorHandle(ctx.dim, lambda x: tensor_partial_sum(x, n, ctx), f"Q[{n}]")
+        handle = tensor_partial_sum_handle(n, ctx)
         if args.p == 2:
             value = exact_norm_p2(handle, ctx).value
         else:

@@ -17,7 +17,6 @@ import numpy as np
 
 MAX_LEVEL = 8
 MAX_KRON_DIM = 2**16
-HERMITICITY_TOL = 1e-12
 
 __all__ = [
     "MAX_LEVEL",
@@ -26,10 +25,8 @@ __all__ = [
     "level_of_dim",
     "kron",
     "dagger",
-    "hermitian_eig",
     "singular_values",
     "schatten_norm",
-    "psd_power",
     "gns_inner",
     "matrix_to_json",
     "matrix_from_json",
@@ -77,21 +74,6 @@ def kron(a, b) -> np.ndarray:
 def dagger(x) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(x).conj().T
-
-
-def hermitian_eig(h, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, v) with w real ascending and v orthonormal columns.  Rejects
-    inputs whose Hermiticity residual max|h - h*| exceeds ``tol`` relative to
-    the matrix scale max|h|.
-    """
-    h = as_matrix(h)
-    residual = np.max(np.abs(h - h.conj().T))
-    scale = np.max(np.abs(h))
-    if residual > tol * scale:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} at scale {scale:.3e})")
-    return np.linalg.eigh(h)
 
 
 def singular_values(x) -> np.ndarray:
@@ -207,30 +189,6 @@ def schatten_norm(x, p: float):
     else:
         out = _gram_norms(xs, p) if xs.size else np.zeros(len(xs))
     return float(out[0]) if x.ndim == 2 else out.reshape(x.shape[:-2])
-
-
-def psd_power(h, t) -> np.ndarray:
-    """Spectral power h**t of a Hermitian positive semidefinite matrix.
-
-    ``t`` may be real or pure imaginary.  Exponents that require inverting or
-    rotating the spectrum (t.real < 0 or t.imag != 0) demand a positive
-    definite input: its smallest eigenvalue must exceed HERMITICITY_TOL times
-    the spectral radius.
-    """
-    tc = complex(t)
-    w, v = hermitian_eig(h)
-    needs_pd = tc.real < 0 or tc.imag != 0
-    if needs_pd and w.min() <= HERMITICITY_TOL * np.max(np.abs(w)):
-        raise ValueError(
-            f"exponent {tc} requires a positive definite matrix "
-            f"(min eigenvalue {w.min():.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    if tc.imag == 0:
-        powered = w ** tc.real
-    else:
-        powered = w.astype(np.complex128) ** tc
-    return (v * powered) @ v.conj().T
 
 
 def gns_inner(x, y, a) -> complex:

@@ -27,9 +27,8 @@ from .states import (
     StateSpec,
     batched_weighted_lp_norm,
     compressed_top_value,
-    cond_expect,
+    filtration_differences,
     lp_norm,
-    mart_diff,
     orthonormal_stack,
     state_diagonal,
     weight_scale,
@@ -38,9 +37,7 @@ from .states import (
 from .walsh import (
     PAPER,
     binary_digits,
-    system_coefficients,
-    system_synthesize,
-    walsh_coefficients,
+    keep_coefficients,
     walsh_matrix,
     walsh_stack,
 )
@@ -53,9 +50,6 @@ MAX_SIGN_STACK_BYTES = 1 << 30
 # over a run of probes.  Its norm holds a few more arrays of that size: the
 # weighted copy, the Gram stack.
 SIGN_BLOCK_BYTES = 1 << 24
-
-# An image's Walsh coefficient below this share of its largest one is rounding (``range_length``).
-RANGE_TOL = 1e-13
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
@@ -78,13 +72,16 @@ class OperatorHandle:
     Wraps a callable that maps a (..., d, d) stack matrix by matrix; calling
     the handle on one matrix or on a stack gives the image of each.
     ``matrix()`` materializes the action in the matrix-unit basis (row-major
-    vec convention) for levels m <= 4.
+    vec convention) for levels m <= 4.  ``rows`` is r, the number of leading
+    Walsh matrices whose span holds the range: the constructor that knows the
+    operator's structure sets it, every other handle takes all 4**m.
     """
 
-    def __init__(self, dim: int, fn, label: str = ""):
+    def __init__(self, dim: int, fn, label: str = "", rows: int | None = None):
         self.dim = int(dim)
         self._fn = fn
         self.label = label
+        self.rows = self.dim * self.dim if rows is None else int(rows)
         self._matrix = None
 
     def __call__(self, x) -> np.ndarray:
@@ -162,13 +159,11 @@ def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     m = level_of_dim(x.shape[-1])
     if not 0 <= n < 4**m:
         raise ValueError(f"partial-sum index {n} out of range for level m={m}")
-    c = system_coefficients(x, alpha, mode)
-    c[..., n + 1 :] = 0.0
-    return system_synthesize(c, m, alpha, mode)
+    return keep_coefficients(x, np.arange(4**m) <= n, alpha, mode)
 
 
 def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> OperatorHandle:
-    return OperatorHandle(1 << m, lambda x: partial_sum(x, n, alpha, mode), f"P[{n}]")
+    return OperatorHandle(1 << m, lambda x: partial_sum(x, n, alpha, mode), f"P[{n}]", rows=n + 1)
 
 
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
@@ -180,18 +175,24 @@ def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
     steps = sorted(set(int(s) for s in steps))
     if any(s < -1 or s > 2 * spec.m - 1 for s in steps):
         raise ValueError(f"subset members must lie in [-1, {2 * spec.m - 1}], got {steps}")
+    mean_part, diff_parts = filtration_differences(x, -1, max(steps, default=-1), spec)
     out = np.zeros_like(x)
     for s in steps:
-        if s == -1:
-            out += cond_expect(x, -1, spec)
-        else:
-            out += mart_diff(x, s, spec)
+        out += mean_part if s == -1 else diff_parts[s]
     return out
 
 
 def subset_projection_handle(steps, spec: StateSpec) -> OperatorHandle:
+    """The subset projection as a handle.
+
+    With top its largest step, E_top and every D_s below it map into
+    span{w_0 .. w_(r-1)} with r = 2**(top + 1), so r = 1 for steps {-1}.
+    """
     steps = tuple(sorted(set(int(s) for s in steps)))
-    return OperatorHandle(spec.dim, lambda x: subset_projection(x, steps, spec), f"T{list(steps)}")
+    return OperatorHandle(
+        spec.dim, lambda x: subset_projection(x, steps, spec), f"T{list(steps)}",
+        rows=1 << (max(steps, default=-1) + 1),
+    )
 
 
 def decomposition_handle(n: int, spec: StateSpec) -> OperatorHandle:
@@ -232,29 +233,13 @@ def identity_residual(
     return residual, norms
 
 
-def range_length(mat: np.ndarray, dim: int) -> int:
-    """1 + the largest Walsh index at which an image of a matrix unit has a coefficient.
-
-    One analysis pass over the columns of ``mat``, the images of the matrix
-    units.  A coefficient counts when it exceeds ``RANGE_TOL`` times the
-    largest coefficient of its own image, so the rounding left in an image
-    synthesized from other coefficients (meanzero mode: about 2e-16 of its
-    largest) does not count.  Every image then lies in the span of
-    w_0 .. w_(r-1).  A zero map gives 1.
-    """
-    coeffs = np.abs(walsh_coefficients(mat.T.reshape(-1, dim, dim)))
-    live = coeffs > RANGE_TOL * coeffs.max(axis=-1, keepdims=True)
-    hits = np.flatnonzero(live.any(axis=0))
-    return int(hits[-1]) + 1 if hits.size else 1
-
-
 def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormReport:
     """Exact operator norm of T on the weighted p=2 matrix space of the state.
 
     The weighted inner product Tr(x* y A) (left) or Tr(x* A y) (right) is
     diagonalized by rescaled matrix units, so the norm is the top singular
     value of the similarity-transformed superoperator.  Its range lies in the
-    span of w_0 .. w_(r-1) (``range_length``), which the first r elements of
+    span of w_0 .. w_(r-1) (r = ``T.rows``), which the first r elements of
     the state-orthonormal Walsh basis span as well, so the value comes from
     the r rows of the similarity on that basis (``compressed_top_value``).
     """
@@ -262,11 +247,10 @@ def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormR
     if np.any(w <= 0):
         raise ValueError("density must be positive definite")
     d = T.dim
-    mat = T.matrix()
     # Matrix unit (i, j) in row-major vec order carries the weight of its column (left) or row (right).
     root = np.broadcast_to(weight_scale(w, 2.0, side), (d, d)).ravel()
-    basis = orthonormal_stack(spec, range_length(mat, d), side).reshape(-1, d * d)
-    return NormReport(value=compressed_top_value(mat, root, basis), method=EXACT2)
+    basis = orthonormal_stack(spec, T.rows, side).reshape(-1, d * d)
+    return NormReport(value=compressed_top_value(T.matrix(), root, basis), method=EXACT2)
 
 
 def multistart_ascent(
@@ -440,11 +424,9 @@ def basis_constant_sweep(
 
 
 def _sign_patterns(count: int) -> np.ndarray:
-    patterns = np.empty((1 << count, count), dtype=np.float64)
-    for k in range(1 << count):
-        for s in range(count):
-            patterns[k, s] = -1.0 if (k >> s) & 1 else 1.0
-    return patterns
+    """All 2**count sign patterns: entry [k, s] is -1 where bit s of k is set."""
+    bits = (np.arange(1 << count)[:, np.newaxis] >> np.arange(count)) & 1
+    return np.where(bits == 1, -1.0, 1.0)
 
 
 def sign_sweep_stack_bytes(m: int, trials: int) -> int:
@@ -501,15 +483,8 @@ def unconditionality_constant(
     keep = base_norms > 1e-12
     xs, base_norms = xs[keep], base_norms[keep]
 
-    # D_s = E_s - E_{s-1}, one kernel call per step on the whole probe stack;
-    # only the previous level is kept alive next to the difference stack.
-    mean_part = cond_expect(xs, -1, spec)
-    diff_parts = np.empty((steps,) + xs.shape, dtype=np.complex128)
-    previous = mean_part
-    for s in range(steps):
-        current = cond_expect(xs, s, spec)
-        np.subtract(current, previous, out=diff_parts[s])
-        previous = current
+    # D_s = E_s - E_{s-1}, one kernel call per step on the whole probe stack.
+    mean_part, diff_parts = filtration_differences(xs, -1, steps - 1, spec)
 
     def block_maxima(block: tuple[slice, slice]) -> np.ndarray:
         rows, probes = block

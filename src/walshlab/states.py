@@ -14,8 +14,8 @@ diag(b_j, 1 - b_j).  Everything here reads a state only through ``m``,
 ``dim`` and ``biases``, so a ``tensor.TensorContext`` (two blocks of factors
 with their own biases) is a state as much as a ``StateSpec`` is.
 
-``rho_value``, ``cond_expect`` and ``mart_diff`` act on one matrix or on a
-stack of shape (..., 2**m, 2**m), matrix by matrix.
+``rho_value``, ``cond_expect``, ``mart_diff`` and ``filtration_differences``
+act on one matrix or on a stack of shape (..., 2**m, 2**m), matrix by matrix.
 """
 
 from __future__ import annotations
@@ -285,3 +285,23 @@ def mart_diff(x, s: int, spec: StateSpec) -> np.ndarray:
     if not 0 <= s <= 2 * spec.m - 1:
         raise ValueError(f"difference step {s} out of range [0, {2 * spec.m - 1}]")
     return cond_expect(x, s, spec) - cond_expect(x, s - 1, spec)
+
+
+def filtration_differences(x, first: int, last: int, spec: StateSpec) -> tuple[np.ndarray, np.ndarray]:
+    """E_first x and the differences D_(first+1) x .. D_last x, each E_s taken once from x.
+
+    Returns (base, diffs): ``diffs[k]`` is D_(first+1+k) x, so diffs has shape
+    (last - first,) + x.shape.  Only the previous expectation is kept alive
+    next to the difference stack.  This is the one telescoped filtration:
+    the subset projections, the sign sweep and the two-block identity take
+    their differences from it.
+    """
+    x = as_stack(x)
+    base = cond_expect(x, first, spec)
+    diffs = np.empty((last - first,) + x.shape, dtype=np.complex128)
+    previous = base
+    for k, s in enumerate(range(first + 1, last + 1)):
+        current = cond_expect(x, s, spec)
+        np.subtract(current, previous, out=diffs[k])
+        previous = current
+    return base, diffs

@@ -18,17 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_factor_maps, as_matrix, as_stack
+from .linalg import apply_factor_maps, as_matrix
+from .schauder import OperatorHandle
 from .states import (
     LEFT,
     LpContext,
     StateSpec,
     _expectation_maps,
     cond_expect,
+    filtration_differences,
     lp_norm,
-    mart_diff,
 )
-from .walsh import binary_digits, walsh_coefficients, walsh_matrix, walsh_synthesize
+from .walsh import binary_digits, keep_coefficients, walsh_matrix
 
 
 @dataclass(frozen=True)
@@ -89,31 +90,21 @@ def double_walsh(n: int, ctx: TensorContext) -> np.ndarray:
     return walsh_matrix(i + (j << 2 * ctx.first.m), ctx.m)
 
 
-def joint_coefficients(x, ctx: TensorContext) -> np.ndarray:
-    """Expansion coefficients over pairs, shaped (..., 4**m2, 4**m1), entry [..., j, i]."""
-    x = as_stack(x)
-    if x.shape[-1] != ctx.dim:
-        raise ValueError(f"matrix dimension {x.shape[-1]} does not match context dim {ctx.dim}")
-    flat = walsh_coefficients(x)
-    return flat.reshape(x.shape[:-2] + (4**ctx.second.m, 4**ctx.first.m))
-
-
-def joint_synthesize(coeffs: np.ndarray, ctx: TensorContext) -> np.ndarray:
-    """Inverse of joint_coefficients."""
-    coeffs = np.asarray(coeffs)
-    return walsh_synthesize(coeffs.reshape(coeffs.shape[:-2] + (-1,)), ctx.m)
+def _pair_indices(ctx: TensorContext) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-block index (i, j) of every joint Walsh index i + (j << 2*m1)."""
+    k = np.arange(4**ctx.m)
+    return k & (4**ctx.first.m - 1), k >> 2 * ctx.first.m
 
 
 def _shell_positions(ctx: TensorContext) -> np.ndarray:
-    """Shell position of every pair, shaped like the joint coefficients: entry [j, i]."""
-    i = np.arange(4**ctx.first.m)[np.newaxis, :]
-    j = np.arange(4**ctx.second.m)[:, np.newaxis]
+    """Shell position of the pair at every joint Walsh index."""
+    i, j = _pair_indices(ctx)
     return np.where(i <= j, j * j + i, (i + 1) * (i + 1) - j - 1)
 
 
-def _keep_coefficients(x, mask: np.ndarray, ctx: TensorContext) -> np.ndarray:
-    """Resynthesize x (or each matrix of a stack) from its joint coefficients where mask[j, i] holds."""
-    return joint_synthesize(np.where(mask, joint_coefficients(x, ctx), 0.0), ctx)
+def _check_shell_position(n: int, ctx: TensorContext) -> None:
+    if not 0 <= n <= max_shell_index(ctx):
+        raise ValueError(f"shell position {n} out of range for context (max {max_shell_index(ctx)})")
 
 
 def factor_expectation(x, side: str, ctx: TensorContext) -> np.ndarray:
@@ -165,19 +156,25 @@ def fsum_partial(x, n: int, ctx: TensorContext, side: str = "second") -> np.ndar
 
 def first_truncation(x, s: int, ctx: TensorContext) -> np.ndarray:
     """Keep joint coefficients with first-block index <= s."""
-    return _keep_coefficients(x, np.arange(4**ctx.first.m)[np.newaxis, :] <= s, ctx)
+    return keep_coefficients(x, _pair_indices(ctx)[0] <= s)
 
 
 def second_truncation(x, s: int, ctx: TensorContext) -> np.ndarray:
     """Keep joint coefficients with second-block index <= s."""
-    return _keep_coefficients(x, np.arange(4**ctx.second.m)[:, np.newaxis] <= s, ctx)
+    return keep_coefficients(x, _pair_indices(ctx)[1] <= s)
 
 
 def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
     """Keep the joint coefficients at shell positions 0..n, matrix by matrix on a stack."""
-    if not 0 <= n <= max_shell_index(ctx):
-        raise ValueError(f"shell position {n} out of range for context (max {max_shell_index(ctx)})")
-    return _keep_coefficients(x, _shell_positions(ctx) <= n, ctx)
+    _check_shell_position(n, ctx)
+    return keep_coefficients(x, _shell_positions(ctx) <= n)
+
+
+def tensor_partial_sum_handle(n: int, ctx: TensorContext) -> OperatorHandle:
+    """The shell partial sum Q_n as a handle; r is 1 + the largest joint index at shell position <= n."""
+    _check_shell_position(n, ctx)
+    rows = int(np.flatnonzero(_shell_positions(ctx) <= n)[-1]) + 1
+    return OperatorHandle(ctx.dim, lambda x: tensor_partial_sum(x, n, ctx), f"Q[{n}]", rows=rows)
 
 
 @dataclass
@@ -198,8 +195,7 @@ def shell_decomposition_check(x, n: int, ctx: TensorContext, ps: tuple = (2.0,),
     the report carries the weighted norms of both parts.
     """
     x = as_matrix(x)
-    if not 0 <= n <= max_shell_index(ctx):
-        raise ValueError(f"shell position {n} out of range for context")
+    _check_shell_position(n, ctx)
     l = math.isqrt(n)
     total = tensor_partial_sum(x, n, ctx)
     if l == 0:
@@ -207,7 +203,7 @@ def shell_decomposition_check(x, n: int, ctx: TensorContext, ps: tuple = (2.0,),
     else:
         square = first_truncation(second_truncation(x, l - 1, ctx), l - 1, ctx)
     positions = _shell_positions(ctx)
-    remainder = _keep_coefficients(x, (positions >= l * l) & (positions <= n), ctx)
+    remainder = keep_coefficients(x, (positions >= l * l) & (positions <= n))
     return ShellDecompositionReport(
         n=n,
         shell=l,
@@ -243,11 +239,11 @@ def tensor_identity_residual(x, n: int, ctx: TensorContext, ps: tuple = (2.0,), 
     w = walsh_matrix(n << start, ctx.m)
     truncated = second_truncation(x, n, ctx)
     lhs = w @ truncated
-    wx = w @ x
-    rhs = cond_expect(wx, start - 1, ctx)
-    for s, g in enumerate(binary_digits(n)):
+    digits = binary_digits(n)
+    rhs, diffs = filtration_differences(w @ x, start - 1, start + len(digits) - 1, ctx)
+    for s, g in enumerate(digits):
         if g:
-            rhs += mart_diff(wx, start + s, ctx)
+            rhs += diffs[s]
     residual = lhs - rhs
     fsum = fsum_partial(x, n, ctx, "second")
     fsum2 = fsum_partial(fsum, n, ctx, "second")

@@ -258,6 +258,21 @@ def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.nd
     return _synthesize(c, m, [_meanzero_kernels(alpha)[1]] * m)
 
 
+def keep_coefficients(x, keep, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
+    """Resynthesize x (or each matrix of a stack) from its system coefficients where ``keep`` holds.
+
+    ``keep`` is a boolean mask over the 4**m coefficient indices.  This is the
+    one coefficient-mask path: partial sums, shell sums and block truncations
+    all run through it.
+    """
+    x = as_stack(x)
+    m = level_of_dim(x.shape[-1])
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (4**m,):
+        raise ValueError(f"coefficient mask of shape {keep.shape} does not match level m={m}")
+    return system_synthesize(np.where(keep, system_coefficients(x, alpha, mode), 0.0), m, alpha, mode)
+
+
 def coefficients_to_json(c, m: int) -> dict:
     """Encode a coefficient array as {"m": m, "re": [...], "im": [...]} of length 4**m."""
     c = np.asarray(c, dtype=np.complex128).ravel()

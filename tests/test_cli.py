@@ -229,6 +229,25 @@ def _refuse_work(*args, **kwargs):
     raise AssertionError("the command started work it should have refused")
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ("basis-constants --level 2 --alpha 0.3 --p 2 --method exact2 --nmax 99", ("--nmax",)),
+        ("basis-constants --level 2 --alpha 0.3 --p 3 --method exact2", ("--method", "--p")),
+        ("gen-walsh --index 99999 --level 2", ("--index",)),
+    ],
+)
+def test_out_of_range_flags_are_refused_by_name(tmp_path, capsys, monkeypatch, argv, flags):
+    monkeypatch.setattr(cli, "basis_constant_sweep", _refuse_work)
+    monkeypatch.setattr(cli, "walsh_matrix", _refuse_work)
+    out_path = tmp_path / "out.csv"
+    extra = ("--out", str(out_path)) if argv.startswith("basis-constants") else ()
+    code, out, err = run(capsys, *argv.split(), *extra)
+    assert code == 2
+    assert all(flag in err for flag in flags), err
+    assert out == "" and not out_path.exists()
+
+
 def test_basis_constants_refuses_level_above_explicit_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "basis_constant_sweep", _refuse_work)
     for method in ("exact2", "estimate"):

@@ -9,17 +9,13 @@ from helpers import factor_map_oracle, random_matrix, random_psd
 from walshlab.linalg import (
     apply_factor_maps,
     dagger,
-    gaussian_matrix,
     gns_inner,
-    hermitian_eig,
     kron,
     level_of_dim,
     matrix_from_json,
     matrix_to_json,
-    psd_power,
     schatten_norm,
     singular_values,
-    task_rng,
 )
 from walshlab.states import StateSpec, state_diagonal
 from walshlab.walsh import walsh_matrix
@@ -92,67 +88,6 @@ def test_schatten_left_unitary_invariance(seed, n, p):
     x = random_matrix(3, seed)
     u = walsh_matrix(n, 3)
     assert abs(schatten_norm(u @ x, p) - schatten_norm(x, p)) <= 1e-10
-
-
-def test_hermitian_eig_contract():
-    h = random_psd(3, 17)
-    w, v = hermitian_eig(h)
-    assert np.all(np.diff(w) >= -1e-12)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-10
-    assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]]))
-
-
-def test_hermitian_tolerance_is_relative_to_scale():
-    q, _ = np.linalg.qr(gaussian_matrix(16, task_rng(7, 0)))
-    w = np.linspace(1e6, 2e6, 16)
-    h = (q * w) @ q.conj().T
-    assert np.max(np.abs(h - h.conj().T)) > 1e-12  # rounding at scale 2e6
-    root = psd_power(h, 0.5)
-    assert np.max(np.abs(root @ root - h)) <= 1e-12 * 2e6
-    tiny = np.diag([1e-14, 2e-14])
-    assert np.allclose(psd_power(tiny, -1.0), np.diag([1e14, 5e13]))
-
-
-def test_psd_power_examples():
-    assert np.allclose(psd_power(np.diag([4, 9]), 0.5), np.diag([2, 3]))
-    for t in (0.0, 1.0, -2.0, 0.5, 1j):
-        assert np.allclose(psd_power(np.eye(3), t), np.eye(3))
-    h = random_psd(2, 3)
-    assert np.allclose(psd_power(h, 1), h, atol=1e-12)
-    assert np.allclose(psd_power(h, 0), np.eye(4), atol=1e-12)
-
-
-def test_psd_power_imaginary_conjugation():
-    # diagonal conjugation: D^(i) e12 D^(-i) = (0.3/0.7)^(i) e12
-    d = np.diag([0.3, 0.7])
-    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    out = psd_power(d, 1j) @ e12 @ psd_power(d, -1j)
-    phase = np.exp(1j * np.log(0.3 / 0.7))
-    assert np.allclose(out, phase * e12, atol=1e-12)
-    assert np.allclose(np.abs(out), np.abs(e12), atol=1e-12)
-
-
-def test_psd_power_rejections():
-    with pytest.raises(ValueError):
-        psd_power(np.array([[0, 1], [0, 0]]), 0.5)
-    singular = np.diag([0.0, 1.0])
-    with pytest.raises(ValueError):
-        psd_power(singular, -1.0)
-    with pytest.raises(ValueError):
-        psd_power(singular, 1j)
-
-
-@given(st.integers(0, 10_000), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
-def test_psd_power_group_law(seed, s, t):
-    h = random_psd(2, seed, floor=0.1)
-    lhs = psd_power(h, s) @ psd_power(h, t)
-    rhs = psd_power(h, s + t)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 @given(st.integers(0, 10_000))

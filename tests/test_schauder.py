@@ -34,13 +34,12 @@ from walshlab.schauder import (
     multistart_ascent,
     partial_sum,
     partial_sum_handle,
-    range_length,
     sign_sweep_stack_bytes,
     subset_projection,
     subset_projection_handle,
     unconditionality_constant,
 )
-from walshlab.tensor import TensorContext, max_shell_index, tensor_partial_sum
+from walshlab.tensor import TensorContext, max_shell_index, tensor_partial_sum_handle
 from walshlab.walsh import MEANZERO, PAPER, walsh_coefficients, walsh_matrix
 
 W = walsh_matrix
@@ -221,7 +220,7 @@ def test_exact_norm_p2_matches_dense_oracle_on_tensor_partial_sums(m1, m2):
     for a1, a2 in ((0.3, 0.1), (1e-4, 0.5), (0.5, 1e-2)):
         ctx = TensorContext(StateSpec(a1, m1), StateSpec(a2, m2))
         for n in range(max_shell_index(ctx) + 1):
-            handle = OperatorHandle(ctx.dim, lambda x, n=n: tensor_partial_sum(x, n, ctx), f"Q[{n}]")
+            handle = tensor_partial_sum_handle(n, ctx)
             for side in ("left", "right"):
                 value = exact_norm_p2(handle, ctx, side).value
                 oracle = dense_exact_norm_p2(handle, ctx, side)
@@ -233,36 +232,51 @@ def test_exact_norm_p2_of_full_range_and_zero_maps():
     spec = StateSpec(1e-2, 2)
     mat = gaussian_matrix(16, task_rng(31))
     for handle in (OperatorHandle.from_matrix(mat), OperatorHandle.identity(4)):
-        assert range_length(handle.matrix(), 4) == 16
         for side in ("left", "right"):
             oracle = dense_exact_norm_p2(handle, spec, side)
             assert abs(exact_norm_p2(handle, spec, side).value - oracle) <= 1e-13 * oracle
     zero = OperatorHandle.from_matrix(np.zeros((16, 16)))
-    assert range_length(zero.matrix(), 4) == 1
     assert exact_norm_p2(zero, spec).value == 0.0
 
 
-def test_range_length_of_projections_and_zero_coefficients_above_it():
-    # r = n + 1 for P_n (both modes) and 2**(smax + 1) for a decomposition
-    # operator whose largest set digit is smax; the images have no Walsh
-    # coefficient at r or above (meanzero images: rounding below RANGE_TOL).
-    for alpha in (0.3, 0.1, 1e-4):
-        for m in (1, 2, 3):
-            spec = StateSpec(alpha, m)
-            cases = [(partial_sum_handle(n, m, alpha, mode), n + 1, mode == PAPER)
-                     for n in range(4**m) for mode in (PAPER, MEANZERO)]
-            cases += [(decomposition_handle(n, spec), 1 << n.bit_length(), True) for n in range(4**m)]
-            cases += [(expectation_handle(s, spec), 1 << (s + 1), True) for s in range(-1, 2 * m)]
-            cases += [(difference_handle(s, spec), 1 << (s + 1), True) for s in range(2 * m)]
-            for handle, r, exact_zeros in cases:
-                mat = handle.matrix()
-                assert range_length(mat, spec.dim) == r, (alpha, m, handle.label)
-                coeffs = np.abs(walsh_coefficients(mat.T.reshape(-1, spec.dim, spec.dim)))
-                above = coeffs[:, r:]
-                if exact_zeros:
-                    assert np.all(above == 0.0), (alpha, m, handle.label)
-                else:
-                    assert np.all(above <= schauder.RANGE_TOL * coeffs.max(axis=1, keepdims=True))
+def _declared_range_cases(alpha: float):
+    """(handle, whether its images carry exact zeros above r) for every structured constructor."""
+    for m in (1, 2, 3):
+        spec = StateSpec(alpha, m)
+        for n in range(4**m):
+            yield partial_sum_handle(n, m, alpha, PAPER), True
+            yield partial_sum_handle(n, m, alpha, MEANZERO), False
+            yield decomposition_handle(n, spec), True
+        for s in range(-1, 2 * m):
+            yield expectation_handle(s, spec), True
+            if s >= 0:
+                yield difference_handle(s, spec), True
+    for m1, m2 in ((1, 1), (1, 2), (2, 1)):
+        ctx = TensorContext(StateSpec(alpha, m1), StateSpec(0.1, m2))
+        for n in range(max_shell_index(ctx) + 1):
+            yield tensor_partial_sum_handle(n, ctx), True
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-4])
+def test_declared_rows_hold_the_image(alpha):
+    # Every image has no Walsh coefficient at index r = handle.rows or above;
+    # meanzero images are synthesized from other coefficients and keep rounding
+    # up to 1e-13 of their largest coefficient there.
+    for handle, exact_zeros in _declared_range_cases(alpha):
+        r, dim = handle.rows, handle.dim
+        assert 1 <= r <= dim * dim, handle.label
+        coeffs = np.abs(walsh_coefficients(handle.matrix().T.reshape(-1, dim, dim)))
+        above = coeffs[:, r:]
+        if exact_zeros:
+            assert np.all(above == 0.0), (dim, handle.label)
+        else:
+            assert np.all(above <= 1e-13 * coeffs.max(axis=1, keepdims=True)), (dim, handle.label)
+    assert partial_sum_handle(4, 2, alpha).rows == 5
+    assert decomposition_handle(0, StateSpec(alpha, 2)).rows == 1
+    assert decomposition_handle(5, StateSpec(alpha, 2)).rows == 8
+    mat = gaussian_matrix(16, task_rng(32))
+    for handle in (OperatorHandle.from_matrix(mat), OperatorHandle.identity(4), OperatorHandle(4, lambda x: x)):
+        assert handle.rows == 16
 
 
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
@@ -553,9 +567,7 @@ def _tensor_handles():
     for m1, m2 in ((1, 1), (1, 2), (2, 1)):
         ctx = TensorContext(StateSpec(0.3, m1), StateSpec(0.1, m2))
         for n in (0, 3, max_shell_index(ctx)):
-            yield f"Q[{n}] ({m1},{m2})", OperatorHandle(
-                ctx.dim, lambda x, n=n, ctx=ctx: tensor_partial_sum(x, n, ctx)
-            )
+            yield f"Q[{n}] ({m1},{m2})", tensor_partial_sum_handle(n, ctx)
 
 
 def test_handle_matrix_matches_probe_oracle():

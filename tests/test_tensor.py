@@ -10,7 +10,6 @@ from walshlab.tensor import (
     factor_expectation,
     factor_projection,
     fsum_partial,
-    joint_coefficients,
     max_shell_index,
     shell_decomposition_check,
     shell_index,
@@ -18,7 +17,7 @@ from walshlab.tensor import (
     tensor_identity_residual,
     tensor_partial_sum,
 )
-from walshlab.walsh import walsh_matrix
+from walshlab.walsh import walsh_coefficients, walsh_matrix
 
 W = walsh_matrix
 CTX11 = TensorContext(StateSpec(0.3, 1), StateSpec(0.3, 1))
@@ -149,12 +148,16 @@ def test_tensor_partial_sum_full_reconstruction_unequal_levels():
 
 
 def test_joint_coefficients_index_layout():
+    # The pair (i, j) sits at joint Walsh index i + (j << 2*m1), which the
+    # shell and block masks rely on: w_2 (x) w_7 is w_30 at (m1, m2) = (1, 2),
+    # and the shell sums keep it from its pair's position shell_index(2, 7) on.
     ctx = TensorContext(StateSpec(0.3, 1), StateSpec(0.3, 2))
     x = np.kron(W(2, 1), W(7, 2))
-    coeffs = joint_coefficients(x, ctx)
-    expected = np.zeros((16, 4))
-    expected[7, 2] = 1.0
-    assert np.allclose(coeffs, expected, atol=1e-13)
+    expected = np.zeros(64)
+    expected[2 + (7 << 2)] = 1.0
+    assert np.allclose(walsh_coefficients(x), expected, atol=1e-13)
+    assert np.allclose(tensor_partial_sum(x, shell_index(2, 7) - 1, ctx), 0.0, atol=1e-13)
+    assert np.allclose(tensor_partial_sum(x, shell_index(2, 7), ctx), x, atol=1e-13)
 
 
 def test_shell_decomposition_square_case():
