@@ -3,14 +3,19 @@
 
     PYTHONPATH=src python3 scripts/bench_ascent.py [--runs 5] [--out BENCH_ascent.json]
 
-Cases: ``estimate_norm_lp`` of the partial sum P_n, n = 4**m // 3, at
+Single cells: ``estimate_norm_lp`` of the partial sum P_n, n = 4**m // 3, at
 m = 1..4 (p = 3, alpha = 0.3, left side, 8 restarts), and
 ``classical_norm_estimate`` at n = 2**level // 3, levels 2..8 (p = 4,
-alpha = 0.3, 8 restarts).  Each case runs once untimed as a warm-up, then
-``--runs`` times; the record holds the minimum and median seconds, the value,
-and the ascent rounds the case needed (one gradient call per round of a
-block of restarts, summed over blocks).  A partial-sum handle is built and
-materialized outside the timed call, so the times cover the ascent only.
+alpha = 0.3, 8 restarts).  Whole sweeps, whose cells climb in lockstep
+blocks: ``basis_constant_sweep`` estimates of every n at m = 1..3 (p = 3,
+alpha = 0.3, 4 restarts, seed 0), and ``classical_norm_estimates`` of
+n = 0..11 at levels 4..8 (p = 4, alpha = 0.3, 8 restarts, cell n seeded n).
+Each case runs once untimed as a warm-up, then ``--runs`` times; the record
+holds the minimum and median seconds, the value (the largest over a sweep),
+the ascent rounds the case needed (one gradient call per round of a block,
+summed over blocks) and its norm calls.  A single cell's partial-sum handle
+is built and materialized outside the timed call, so those times cover the
+ascent only; a sweep's times include building its operators.
 """
 
 import argparse
@@ -24,30 +29,38 @@ import time
 import numpy as np
 
 from walshlab import classical, schauder
-from walshlab.classical import classical_norm_estimate
-from walshlab.schauder import estimate_norm_lp, partial_sum_handle
+from walshlab.classical import classical_norm_estimate, classical_norm_estimates
+from walshlab.schauder import ESTIMATE, basis_constant_sweep, estimate_norm_lp, partial_sum_handle
 from walshlab.states import LpContext, StateSpec
 
 RESTARTS = 8
+SWEEP_RESTARTS = 4
 ALPHA = 0.3
+# The gradient and the norm each estimator's ascent calls, by module.
+MATRIX_CALLS = {"rounds": (schauder, "weighted_lp_gradient"), "norm_calls": (schauder, "batched_weighted_lp_norm")}
+VECTOR_CALLS = {"rounds": (classical, "_weighted_vector_gradient"), "norm_calls": (classical, "_weighted_vector_norm")}
 
 
-def count_rounds(module, name: str, run) -> int:
-    """Run ``run()`` once with ``module.name`` (the estimator's gradient) counting its calls."""
-    original = getattr(module, name)
-    calls = 0
+def count_calls(targets: dict, run) -> dict:
+    """Run ``run()`` once with each ``module.name`` of ``targets`` counting its calls."""
+    counts = dict.fromkeys(targets, 0)
+    originals = {key: getattr(module, name) for key, (module, name) in targets.items()}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counting(key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return originals[key](*args, **kwargs)
 
-    setattr(module, name, counted)
+        return counted
+
+    for key, (module, name) in targets.items():
+        setattr(module, name, counting(key))
     try:
         run()
     finally:
-        setattr(module, name, original)
-    return calls
+        for key, (module, name) in targets.items():
+            setattr(module, name, originals[key])
+    return counts
 
 
 def time_case(run, runs: int) -> dict:
@@ -67,6 +80,13 @@ def main() -> int:
     args = ap.parse_args()
 
     cases = []
+
+    def record(case: dict, run, calls: dict) -> None:
+        case.update(time_case(run, args.runs))
+        case.update(count_calls(calls, run))
+        cases.append(case)
+        print(json.dumps(case), flush=True)
+
     for m in range(1, 5):
         n = 4**m // 3
         handle = partial_sum_handle(n, m, ALPHA)
@@ -76,23 +96,35 @@ def main() -> int:
         def run(handle=handle, ctx=ctx):
             return estimate_norm_lp(handle, ctx, restarts=RESTARTS, seed=0).value
 
-        record = {"estimator": "estimate_norm_lp", "m": m, "n": n, "p": 3.0, "restarts": RESTARTS}
-        record.update(time_case(run, args.runs))
-        record["rounds"] = count_rounds(schauder, "weighted_lp_gradient", run)
-        cases.append(record)
-        print(json.dumps(record), flush=True)
+        case = {"estimator": "estimate_norm_lp", "m": m, "n": n, "p": 3.0, "restarts": RESTARTS}
+        record(case, run, MATRIX_CALLS)
     for level in range(2, 9):
         n = (1 << level) // 3
 
         def run(n=n, level=level):
             return classical_norm_estimate(n, level, ALPHA, 4.0, restarts=RESTARTS, seed=0)[0]
 
-        record = {"estimator": "classical_norm_estimate", "level": level, "n": n, "p": 4.0,
-                  "restarts": RESTARTS}
-        record.update(time_case(run, args.runs))
-        record["rounds"] = count_rounds(classical, "_weighted_vector_gradient", run)
-        cases.append(record)
-        print(json.dumps(record), flush=True)
+        case = {"estimator": "classical_norm_estimate", "level": level, "n": n, "p": 4.0, "restarts": RESTARTS}
+        record(case, run, VECTOR_CALLS)
+    for m in range(1, 4):
+        ctx = LpContext(3.0, StateSpec(ALPHA, m))
+
+        def run(ctx=ctx, m=m):
+            rows = basis_constant_sweep(ctx, 4**m - 1, ESTIMATE, restarts=SWEEP_RESTARTS, seed=0)
+            return max(max(row.value, row.decomp_value) for row in rows)
+
+        case = {"estimator": "basis_constant_sweep", "m": m, "nmax": 4**m - 1, "p": 3.0,
+                "restarts": SWEEP_RESTARTS}
+        record(case, run, MATRIX_CALLS)
+    for level in range(4, 9):
+        ns = range(12)
+
+        def run(level=level, ns=ns):
+            return max(value for value, _ in classical_norm_estimates(ns, level, ALPHA, 4.0, RESTARTS, list(ns)))
+
+        case = {"estimator": "classical_norm_estimates", "level": level, "nmax": 11, "p": 4.0,
+                "restarts": RESTARTS}
+        record(case, run, VECTOR_CALLS)
 
     environment = {
         "python": platform.python_version(),

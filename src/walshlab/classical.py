@@ -196,21 +196,40 @@ def classical_norm_estimate(
 ) -> tuple[float, bool]:
     """Lower-bound estimate of the weighted-L^p norm of the classical projection.
 
-    Runs ``schauder.multistart_ascent`` on the interval-value vectors.
+    The one-cell case of ``classical_norm_estimates``: exact at p = 1 and
+    p = inf, a ``schauder.multistart_ascent`` on the interval-value vectors
+    otherwise.
+    """
+    return classical_norm_estimates([n], level, alpha, p, restarts, [seed])[0]
+
+
+def classical_norm_estimates(ns, level: int, alpha: float, p: float, restarts: int, seeds) -> list[tuple[float, bool]]:
+    """``classical_norm_estimate`` of each index of ``ns``, index ns[c] from ``seeds[c]``.
+
+    At p = inf the weighted norm is max |v_k| and at p = 1 it is
+    sum_k w_k |v_k|, so the operator norms are exact in closed form,
+    max_i sum_j |P_ij| and max_j sum_i w_i |P_ij| / w_j, and come back
+    converged.  At any other p every cell climbs in
+    ``schauder.multistart_ascent``'s lockstep blocks, so each estimate is
+    the one the cell gets alone.
     """
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
-    dim = 1 << level
     weights = dyadic_weights(level, alpha)
+    if math.isinf(p):
+        return [(float(np.abs(classical_projection(n, level)).sum(axis=1).max()), True) for n in ns]
+    if p == 1:
+        return [(float(((weights @ np.abs(classical_projection(n, level))) / weights).max()), True) for n in ns]
+    dim = 1 << level
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
     return multistart_ascent(
-        classical_projection(n, level),
+        (classical_projection(n, level) for n in ns),
         draw,
         lambda v: _weighted_vector_norm(v, weights, p),
         lambda v: _weighted_vector_gradient(v, weights, p),
         restarts,
-        seed,
+        seeds,
     )

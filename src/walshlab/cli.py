@@ -44,13 +44,13 @@ from .schauder import (
     MAX_EXPLICIT_LEVEL,
     MAX_SIGN_STACK_BYTES,
     basis_constant_sweep,
-    estimate_norm_lp,
+    estimate_norms_lp,
     exact_norm_p2,
     identity_residual,
     sign_sweep_stack_bytes,
     unconditionality_constant,
 )
-from .classical import classical_norm_estimate, classical_norm_exact2
+from .classical import classical_norm_estimates, classical_norm_exact2
 from .tensor import TensorContext, max_shell_index, shell_pair, tensor_partial_sum_handle
 from .walsh import (
     MODES,
@@ -583,18 +583,14 @@ def _cmd_tensor_sweep(args, argv) -> int:
         raise ValueError("--seed is required for the stochastic estimate at p != 2")
     seed = args.seed if args.seed is not None else 0
 
-    def cell(n: int):
-        handle = tensor_partial_sum_handle(n, ctx)
-        if args.p == 2:
-            value = exact_norm_p2(handle, ctx).value
-        else:
-            value = estimate_norm_lp(
-                handle, LpContext(args.p, ctx), restarts=args.restarts, seed=seed + n
-            ).value
-        i, j = shell_pair(n)
-        return [n, i, j, args.alpha, args.alpha2, args.p, value]
-
-    rows = [cell(n) for n in range(args.nmax + 1)]
+    ns = range(args.nmax + 1)
+    handles = (tensor_partial_sum_handle(n, ctx) for n in ns)
+    if args.p == 2:
+        values = [exact_norm_p2(handle, ctx).value for handle in handles]
+    else:
+        reports = estimate_norms_lp(handles, LpContext(args.p, ctx), args.restarts, [seed + n for n in ns])
+        values = [rep.value for rep in reports]
+    rows = [[n, *shell_pair(n), args.alpha, args.alpha2, args.p, value] for n, value in zip(ns, values)]
     write_csv(args.out, TENSOR_HEADER, rows)
     write_manifest(
         args.out,
@@ -621,17 +617,15 @@ def _cmd_classical(args, argv) -> int:
         raise ValueError("--seed is required for the stochastic estimate at p != 2")
     seed = args.seed if args.seed is not None else 0
 
-    def cell(n: int):
-        if args.p == 2:
-            value, converged, method = classical_norm_exact2(n, args.level, args.alpha), True, EXACT2
-        else:
-            value, converged = classical_norm_estimate(
-                n, args.level, args.alpha, args.p, restarts=args.restarts, seed=seed + n
-            )
-            method = ESTIMATE
-        return [n, args.p, args.alpha, "left", method, value, converged]
-
-    rows = [cell(n) for n in range(args.nmax + 1)]
+    ns = range(args.nmax + 1)
+    if args.p == 2:
+        method, cells = EXACT2, [(classical_norm_exact2(n, args.level, args.alpha), True) for n in ns]
+    else:
+        method = ESTIMATE
+        cells = classical_norm_estimates(
+            ns, args.level, args.alpha, args.p, args.restarts, [seed + n for n in ns]
+        )
+    rows = [[n, args.p, args.alpha, "left", method, value, converged] for n, (value, converged) in zip(ns, cells)]
     write_csv(args.out, BASIS_HEADER, rows)
     write_manifest(
         args.out,

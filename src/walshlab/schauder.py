@@ -9,6 +9,7 @@ biases this module measures residuals instead of asserting them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +37,10 @@ from .states import (
 )
 from .walsh import (
     PAPER,
+    analysis_stack,
     binary_digits,
     keep_coefficients,
+    system_synthesize,
     walsh_matrix,
     walsh_stack,
 )
@@ -57,8 +60,11 @@ ESTIMATE = "estimate"
 # Stopping rule of the multi-start ascent: relative tolerance and iteration cap.
 ASCENT_TOL = 1e-6
 MAX_ASCENT_ITER = 400
-# Restarts climbing in lockstep at most; bounds the ascent's memory for any restart count.
+# Rows (restarts, over all cells) climbing in lockstep at most, and bytes of the
+# operator matrices they climb on: together they bound the ascent's memory for
+# any restart count and any sweep.
 ASCENT_BLOCK = 64
+ASCENT_BLOCK_BYTES = 1 << 24
 
 
 def matrix_unit_stack(dim: int) -> np.ndarray:
@@ -111,10 +117,14 @@ class OperatorHandle:
                 raise ValueError(
                     f"refusing to materialize a superoperator at level {m} > {MAX_EXPLICIT_LEVEL}"
                 )
-            d2 = self.dim * self.dim
-            # Row k of the image stack is column k: the image of matrix unit k.
-            self._matrix = self(matrix_unit_stack(self.dim)).reshape(d2, d2).T.copy()
+            self._matrix = self._materialize()
         return self._matrix
+
+    def _materialize(self) -> np.ndarray:
+        """The matrix by probing; a subclass that knows a cheaper way overrides this."""
+        d2 = self.dim * self.dim
+        # Row k of the image stack is column k: the image of matrix unit k.
+        return self(matrix_unit_stack(self.dim)).reshape(d2, d2).T.copy()
 
 
 @dataclass
@@ -162,8 +172,33 @@ def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     return keep_coefficients(x, np.arange(4**m) <= n, alpha, mode)
 
 
+class _PartialSumHandle(OperatorHandle):
+    """P_n.  Its matrix is the first n + 1 synthesis columns times the first
+    n + 1 analysis rows of the system, sliced from ``_system_factors``."""
+
+    def __init__(self, n: int, m: int, alpha: float, mode: str):
+        super().__init__(1 << m, lambda x: partial_sum(x, n, alpha, mode), f"P[{n}]", rows=n + 1)
+        self._system = (m, alpha, mode)
+
+    def _materialize(self) -> np.ndarray:
+        synthesis, analysis = _system_factors(*self._system)
+        return (synthesis[: self.rows].T @ analysis[: self.rows]).astype(np.complex128)
+
+
+@functools.lru_cache(maxsize=8)
+def _system_factors(m: int, alpha: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesis and analysis of the level-m system as (4**m, 4**m) rows: row k
+    of the first is w_k and of the second a_k, both flattened.  Every generator
+    is real, so both are, and P_n's matrix is taken in real arithmetic."""
+    count = 4**m
+    synthesis = np.ascontiguousarray(system_synthesize(np.eye(count), m, alpha, mode).real).reshape(count, count)
+    analysis = np.ascontiguousarray(analysis_stack(m, alpha, mode).real).reshape(count, count)
+    synthesis.flags.writeable = analysis.flags.writeable = False
+    return synthesis, analysis
+
+
 def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> OperatorHandle:
-    return OperatorHandle(1 << m, lambda x: partial_sum(x, n, alpha, mode), f"P[{n}]", rows=n + 1)
+    return _PartialSumHandle(n, m, alpha, mode)
 
 
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
@@ -254,48 +289,100 @@ def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormR
 
 
 def multistart_ascent(
-    mat: np.ndarray, draw, norm_of, norm_gradient, restarts: int, seed: int, tol: float = ASCENT_TOL
-) -> tuple[float, bool]:
-    """Best ratio ||mat @ x|| / ||x|| found by multi-start normalized ascent on flat vectors.
+    mats, draw, norm_of, norm_gradient, restarts: int, seeds, tol: float = ASCENT_TOL
+) -> list[tuple[float, bool]]:
+    """Best ratio ||mat @ x|| / ||x|| of each cell's matrix, by multi-start normalized ascent on flat vectors.
 
-    Restart r climbs from ``draw(task_rng(seed, r))`` (a draw of norm 0 is
-    skipped) along the normalized gradient of the ratio at ||x|| = 1,
-    ``mat* norm_gradient(mat @ x) - value * norm_gradient(x)`` (the numerator
-    gradient minus its component along the constraint), with 0.5-backtracking,
-    and stops once five consecutive iterations improve by less than ``tol``
-    relative, or after ``MAX_ASCENT_ITER`` iterations.  ``norm_of`` and
-    ``norm_gradient`` act on a (k, n) block of row vectors, one value or
-    gradient per row.  Restarts climb in lockstep, ``ASCENT_BLOCK`` rows at a
-    time, each on its own path.  Returns (best value, whether the first
-    restart reaching it converged); the best value is always a valid lower
-    bound of the operator norm.
+    Cell c climbs on the c-th matrix of ``mats`` (an iterable of (N, N)
+    matrices, such as a (C, N, N) stack or a generator) from seed
+    ``seeds[c]``.  Its restart r climbs from ``draw(task_rng(seeds[c], r))``
+    (a draw of norm 0 is skipped) along the normalized gradient of the ratio
+    at ||x|| = 1, ``mat* norm_gradient(mat @ x) - value * norm_gradient(x)``
+    (the numerator gradient minus its component along the constraint), with
+    0.5-backtracking, and stops once five consecutive iterations improve by
+    less than ``tol`` relative, or after ``MAX_ASCENT_ITER`` iterations.
+    ``norm_of`` and ``norm_gradient`` act on a (k, N) block of row vectors,
+    one value or gradient per row, whatever cell a row belongs to.
+
+    The restarts of consecutive cells climb in lockstep as the rows of one
+    block, each on its own path.  A block holds at most ``ASCENT_BLOCK`` rows
+    and ``ASCENT_BLOCK_BYTES`` of matrices; a cell's restarts share a block
+    unless they are more than ``ASCENT_BLOCK``.  ``mats`` is read one matrix
+    at a time, as blocks fill, so a generator keeps only one block's
+    matrices alive.  Returns one (best value, whether the first restart
+    reaching it converged) per cell; the best value is always a valid lower
+    bound of the operator norm, and (0.0, False) when every draw was zero.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    best = 0.0
-    best_converged = False
-    for first in range(0, restarts, ASCENT_BLOCK):
-        xs = np.stack([draw(task_rng(seed, r)) for r in range(first, min(first + ASCENT_BLOCK, restarts))])
+    best = [(0.0, False)] * len(seeds)
+    block: list[tuple] = []  # (cell, matrix, seed, first restart, restart count)
+
+    def climb() -> None:
+        mats_in_block = [mat for _, mat, _, _, _ in block]
+        xs = np.concatenate([
+            np.stack([draw(task_rng(seed, r)) for r in range(first, first + count)])
+            for _, _, seed, first, count in block
+        ])
+        cells = np.repeat(np.arange(len(block)), [count for *_, count in block])
         nx = norm_of(xs)
         live = nx != 0.0
-        values, converged = _climb_block(mat, xs[live] / nx[live, np.newaxis], norm_of, norm_gradient, tol)
-        for value, conv in zip(values, converged):
-            if value > best:
-                best, best_converged = float(value), bool(conv)
-    return best, best_converged
+        values, converged = _climb_block(
+            mats_in_block, cells[live], xs[live] / nx[live, np.newaxis], norm_of, norm_gradient, tol
+        )
+        for local, value, conv in zip(cells[live], values, converged):
+            cell = block[local][0]
+            if value > best[cell][0]:
+                best[cell] = (float(value), bool(conv))
+        block.clear()
+
+    mats = iter(mats)
+    for cell, seed in enumerate(seeds):
+        # Close the block before the next matrix is built, so no more than one block's are alive.
+        rows = sum(count for *_, count in block)
+        if block and (
+            rows + min(restarts, ASCENT_BLOCK) > ASCENT_BLOCK
+            or (len(block) + 1) * block[0][1].nbytes > ASCENT_BLOCK_BYTES
+        ):
+            climb()
+        mat = next(mats)
+        for first in range(0, restarts, ASCENT_BLOCK):
+            if first:
+                climb()  # the previous block is full of this cell's restarts
+            block.append((cell, mat, seed, first, min(ASCENT_BLOCK, restarts - first)))
+    if block:
+        climb()
+    return best
 
 
-def _climb_block(mat, xs, norm_of, norm_gradient, tol):
-    """Climb the unit rows of ``xs`` together; returns their final values and convergence flags.
+def _block_product(mats, cells, xs, adjoint: bool = False) -> np.ndarray:
+    """Row i of ``xs`` taken to ``mats[cells[i]] @ xs[i]``, or with ``adjoint`` to
+    ``mats[cells[i]]* @ xs[i]``, as rows.  ``cells`` ascends, so each matrix
+    takes one product with its run of rows."""
+    # x @ mat.T is the image of a row x; conj(conj(x) @ mat) is its adjoint's.
+    if adjoint:
+        xs = xs.conj()
+    out = np.empty_like(xs)
+    lo = 0
+    for mat, count in zip(mats, np.bincount(cells, minlength=len(mats)).tolist()):
+        if count:
+            np.matmul(xs[lo : lo + count], mat if adjoint else mat.T, out=out[lo : lo + count])
+            lo += count
+    return np.conj(out, out=out) if adjoint else out
 
-    Every round takes one gradient of each climbing row, then backtracks all
-    of them at once: a row halves its own trial step until it improves or the
-    step falls to 1e-12.  A row that stops leaves later rounds.
+
+def _climb_block(mats, cells, xs, norm_of, norm_gradient, tol):
+    """Climb the unit rows of ``xs``, row i on ``mats[cells[i]]``, together.
+
+    Returns their final values and convergence flags.  Every round takes one
+    gradient of each climbing row, then backtracks all of them at once: a
+    row halves its own trial step until it improves or the step falls to
+    1e-12.  A row that stops leaves later rounds, and a row that found its
+    step leaves the rest of the round's products.
     """
-    matT = mat.T
-    values = norm_of(xs @ matT)
+    values = norm_of(_block_product(mats, cells, xs))
     converged = np.zeros(len(xs), dtype=bool)
     step = np.ones(len(xs))
     quiet = np.zeros(len(xs), dtype=int)
@@ -303,9 +390,9 @@ def _climb_block(mat, xs, norm_of, norm_gradient, tol):
     for _ in range(MAX_ASCENT_ITER):
         if active.size == 0:
             break
-        x, value, k = xs[active], values[active], len(active)
-        grads = norm_gradient(np.concatenate([x @ matT, x]))
-        g = grads[:k] @ mat.conj() - value[:, np.newaxis] * grads[k:]
+        x, value, c, k = xs[active], values[active], cells[active], len(active)
+        grads = norm_gradient(np.concatenate([_block_product(mats, c, x), x]))
+        g = _block_product(mats, c, grads[:k], adjoint=True) - value[:, np.newaxis] * grads[k:]
         gn = np.linalg.norm(g, axis=1)
         flat = gn < 1e-300
         g /= np.where(flat, 1.0, gn)[:, np.newaxis]
@@ -316,7 +403,7 @@ def _climb_block(mat, xs, norm_of, norm_gradient, tol):
             cand = x[searching] + trial[searching, np.newaxis] * g[searching]
             cn = norm_of(cand)
             cand /= np.where(cn > 0, cn, 1.0)[:, np.newaxis]
-            cv = norm_of(cand @ matT)
+            cv = norm_of(_block_product(mats, c[searching], cand))
             up = (cn > 0) & (cv > value[searching])
             rows = searching[up]
             rel[rows] = (cv[up] - value[rows]) / np.maximum(value[rows], 1e-300)
@@ -343,8 +430,21 @@ def estimate_norm_lp(
 ) -> NormReport:
     """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
     on its materialized matrix, from seeded Gaussian matrices."""
+    return estimate_norms_lp([T], ctx, restarts, [seed], tol)[0]
+
+
+def estimate_norms_lp(
+    handles, ctx: LpContext, restarts: int, seeds, tol: float = ASCENT_TOL
+) -> list[NormReport]:
+    """``estimate_norm_lp`` of each handle of an iterable, handle c from ``seeds[c]``.
+
+    All cells climb in ``multistart_ascent``'s lockstep blocks, so each
+    estimate is the one ``estimate_norm_lp`` gives alone.  A handle's matrix
+    is materialized when its block fills; handles made by a generator keep
+    only one block's matrices alive.
+    """
     weights = state_diagonal(ctx.state)
-    p, side, d = ctx.p, ctx.side, T.dim
+    p, side, d = ctx.p, ctx.side, ctx.state.dim
 
     def norm_of(v: np.ndarray) -> np.ndarray:
         return batched_weighted_lp_norm(v.reshape(-1, d, d), weights, p, side)
@@ -352,17 +452,14 @@ def estimate_norm_lp(
     def norm_gradient(v: np.ndarray) -> np.ndarray:
         return weighted_lp_gradient(v.reshape(-1, d, d), weights, p, side).reshape(v.shape)
 
-    value, converged = multistart_ascent(
-        T.matrix(), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of, norm_gradient,
-        restarts, seed, tol,
+    best = multistart_ascent(
+        (T.matrix() for T in handles), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of,
+        norm_gradient, restarts, seeds, tol,
     )
-    return NormReport(
-        value=value,
-        method=ESTIMATE,
-        restarts=restarts,
-        converged=converged,
-        seed=seed,
-    )
+    return [
+        NormReport(value=value, method=ESTIMATE, restarts=restarts, converged=converged, seed=seed)
+        for (value, converged), seed in zip(best, seeds)
+    ]
 
 
 def basis_constant_row(
@@ -376,33 +473,9 @@ def basis_constant_row(
     """One sweep cell: the norm of the n-th partial-sum projection plus the
     norm of the matching decomposition operator rho(.)*I + set-digit
     differences, and the gap between the two."""
-    spec = ctx.state
-    if not 0 <= n < 4**spec.m:
-        raise ValueError(f"projection index {n} out of range for level m={spec.m}")
-    if method not in (EXACT2, ESTIMATE):
-        raise ValueError(f"unknown method {method!r}")
-    if method == EXACT2 and ctx.p != 2:
-        raise ValueError("exact2 applies only at p = 2")
-    proj = partial_sum_handle(n, spec.m, spec.alpha, mode)
-    decomp = decomposition_handle(n, spec)
-    if method == EXACT2:
-        rep = exact_norm_p2(proj, spec, ctx.side)
-        dep = exact_norm_p2(decomp, spec, ctx.side)
-    else:
-        rep = estimate_norm_lp(proj, ctx, restarts=restarts, seed=seed + 2 * n)
-        dep = estimate_norm_lp(decomp, ctx, restarts=restarts, seed=seed + 2 * n + 1)
-    return BasisConstantRow(
-        n=n,
-        p=ctx.p,
-        alpha=spec.alpha,
-        side=ctx.side,
-        method=method,
-        value=rep.value,
-        converged=rep.converged,
-        decomp_value=dep.value,
-        decomp_converged=dep.converged,
-        gap=rep.value - dep.value,
-    )
+    if not 0 <= n < 4**ctx.state.m:
+        raise ValueError(f"projection index {n} out of range for level m={ctx.state.m}")
+    return _basis_rows(ctx, [n], method, restarts, seed, mode)[0]
 
 
 def basis_constant_sweep(
@@ -415,12 +488,48 @@ def basis_constant_sweep(
 ) -> list[BasisConstantRow]:
     """Norms of the partial-sum projections for n = 0..n_max.
 
-    Cells are independent and seeded by (seed, n).
+    Cells are independent and seeded by (seed, n): the estimate of cell n is
+    the one ``basis_constant_row`` gives alone.
     """
     spec = ctx.state
     if not 0 <= n_max < 4**spec.m:
         raise ValueError(f"sweep bound {n_max} out of range for level m={spec.m}")
-    return [basis_constant_row(ctx, n, method, restarts, seed, mode) for n in range(n_max + 1)]
+    return _basis_rows(ctx, range(n_max + 1), method, restarts, seed, mode)
+
+
+def _basis_rows(ctx: LpContext, ns, method: str, restarts: int, seed: int, mode: str) -> list[BasisConstantRow]:
+    """The cells of ``ns``; the estimates of P_n and its decomposition operator are
+    seeded seed + 2n and seed + 2n + 1, and all of them climb in lockstep."""
+    if method not in (EXACT2, ESTIMATE):
+        raise ValueError(f"unknown method {method!r}")
+    if method == EXACT2 and ctx.p != 2:
+        raise ValueError("exact2 applies only at p = 2")
+    spec = ctx.state
+    handles = (
+        handle
+        for n in ns
+        for handle in (partial_sum_handle(n, spec.m, spec.alpha, mode), decomposition_handle(n, spec))
+    )
+    if method == EXACT2:
+        reports = [exact_norm_p2(handle, spec, ctx.side) for handle in handles]
+    else:
+        seeds = [seed + 2 * n + k for n in ns for k in (0, 1)]
+        reports = estimate_norms_lp(handles, ctx, restarts, seeds)
+    return [
+        BasisConstantRow(
+            n=n,
+            p=ctx.p,
+            alpha=spec.alpha,
+            side=ctx.side,
+            method=method,
+            value=rep.value,
+            converged=rep.converged,
+            decomp_value=dep.value,
+            decomp_converged=dep.converged,
+            gap=rep.value - dep.value,
+        )
+        for n, rep, dep in zip(ns, reports[::2], reports[1::2])
+    ]
 
 
 def _sign_patterns(count: int) -> np.ndarray:

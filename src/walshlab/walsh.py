@@ -258,6 +258,18 @@ def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.nd
     return _synthesize(c, m, [_meanzero_kernels(alpha)[1]] * m)
 
 
+def analysis_stack(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
+    """The analysis map as a (4**m, 2**m, 2**m) stack.
+
+    Coefficient k of x under ``system_coefficients`` is sum(a_k * x), entry
+    by entry.  Row k of the per-factor analysis kernel is a 2x2 block, and
+    a_k is the tensor product of the blocks picked by the base-4 digits of
+    k: one synthesis with the transposed kernel.
+    """
+    kernel = ANALYSIS_KERNEL if _check_mode(mode) == PAPER else _meanzero_kernels(alpha)[0]
+    return _synthesize(np.eye(4**m), m, [kernel.T] * m)
+
+
 def keep_coefficients(x, keep, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Resynthesize x (or each matrix of a stack) from its system coefficients where ``keep`` holds.
 

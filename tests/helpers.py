@@ -58,13 +58,20 @@ def factor_map_oracle(x: np.ndarray, maps: dict, m: int) -> np.ndarray:
     return t.reshape(1 << m, 1 << m)
 
 
-def sequential_ascent(mat, draw, norm_of, norm_gradient, restarts, seed, tol=ASCENT_TOL):
-    """Ascent oracle: ``schauder.multistart_ascent`` climbing one restart at a time.
+def sequential_ascent(mats, draw, norm_of, norm_gradient, restarts, seeds, tol=ASCENT_TOL):
+    """Ascent oracle: ``schauder.multistart_ascent`` climbing one cell and one restart at a time.
 
-    Takes the same row-block callbacks and returns the same (best, converged);
-    every restart runs its own loop on one vector.
+    Takes the same matrices, row-block callbacks and seeds and returns the
+    same (best, converged) per cell; every restart of every cell runs its own
+    loop on one vector.
     """
+    return [
+        _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed, tol)
+        for mat, seed in zip(mats, seeds)
+    ]
 
+
+def _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed, tol):
     def norm(v):
         return float(norm_of(v[np.newaxis])[0])
 

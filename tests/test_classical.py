@@ -9,6 +9,7 @@ from walshlab.classical import (
     StepFunction,
     classical_basis_matrix,
     classical_norm_estimate,
+    classical_norm_estimates,
     classical_norm_exact2,
     classical_projection,
     classical_walsh_values,
@@ -168,6 +169,21 @@ def test_lockstep_classical_ascent_matches_sequential_oracle(monkeypatch):
         assert converged == oracle_converged, (n, level, p)
 
 
+def test_classical_lockstep_sweep_matches_sequential_oracle(monkeypatch):
+    # All cells of a sweep climb in lockstep blocks; each restart keeps its own path.
+    cases = {(level, p): range(3) for level in range(2, 6) for p in (1.5, 3.0)}
+    sweeps = {
+        (level, p): classical_norm_estimates(ns, level, 0.3, p, 2, [7 + n for n in ns])
+        for (level, p), ns in cases.items()
+    }
+    monkeypatch.setattr(classical, "multistart_ascent", sequential_ascent)
+    for (level, p), ns in cases.items():
+        oracle = classical_norm_estimates(ns, level, 0.3, p, 2, [7 + n for n in ns])
+        for n, (value, converged), (oracle_value, oracle_converged) in zip(ns, sweeps[level, p], oracle, strict=True):
+            assert abs(value - oracle_value) <= 1e-12 * oracle_value, (level, p, n)
+            assert converged == oracle_converged, (level, p, n)
+
+
 def test_classical_estimate_below_closed_form_at_p1_and_inf():
     # Weighted l^inf operator norm: max_i sum_j |P_ij|; weighted l^1: max_j sum_i w_i |P_ij| / w_j.
     level, alpha = 4, 0.3
@@ -176,8 +192,8 @@ def test_classical_estimate_below_closed_form_at_p1_and_inf():
         mags = np.abs(classical_projection(n, level))
         closed = {np.inf: mags.sum(axis=1).max(), 1.0: ((w @ mags) / w).max()}
         for p, bound in closed.items():
-            est, _ = classical_norm_estimate(n, level, alpha, p, restarts=8, seed=n)
-            assert 0.0 < est <= bound * (1 + 1e-12), (n, p, est, bound)
+            est, converged = classical_norm_estimate(n, level, alpha, p, restarts=8, seed=n)
+            assert abs(est - bound) <= 1e-12 * bound and converged, (n, p, est, bound)
 
 
 def test_step_function_validation():

@@ -1,10 +1,12 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from walshlab import cli
+from helpers import sequential_ascent
+from walshlab import cli, schauder
 from walshlab.cli import BASIS_HEADER, SIGN_HEADER, TENSOR_HEADER, fmt, run_command
 from walshlab.linalg import matrix_from_json
 
@@ -324,3 +326,67 @@ def test_estimates_stay_finite_at_large_p(tmp_path, capsys, argv, column):
     for line in out_path.read_text().splitlines()[1:]:
         value = float(line.split(",")[column])
         assert np.isfinite(value) and value >= 1 - 1e-2, line
+
+
+def _csv_values(path, column):
+    return [(float(line.split(",")[column]), line.split(",")[-1]) for line in path.read_text().splitlines()[1:]]
+
+
+def test_tensor_sweep_lockstep_matches_sequential_oracle(tmp_path, capsys, monkeypatch):
+    # The estimate cells of one sweep climb in one block; each restart keeps its own path.
+    argv = "tensor-sweep --level 1 --level2 1 --alpha 0.3 --alpha2 0.1 --nmax 3 --restarts 2 --seed 2".split()
+    for p in ("1.5", "3"):
+        assert run(capsys, *argv, "--p", p, "--out", str(tmp_path / f"lockstep{p}.csv"))[0] == 0
+    monkeypatch.setattr(schauder, "multistart_ascent", sequential_ascent)
+    for p in ("1.5", "3"):
+        assert run(capsys, *argv, "--p", p, "--out", str(tmp_path / f"oracle{p}.csv"))[0] == 0
+        lockstep = _csv_values(tmp_path / f"lockstep{p}.csv", 6)
+        oracle = _csv_values(tmp_path / f"oracle{p}.csv", 6)
+        assert len(lockstep) == len(oracle) == 4
+        for (value, _), (oracle_value, _) in zip(lockstep, oracle):
+            assert abs(value - oracle_value) <= 1e-12 * oracle_value, p
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "basis-constants --level 2 --alpha 0.3 --p 3 --method estimate --restarts 5",
+        "classical --level 5 --alpha 0.3 --p 3 --restarts 8",
+    ],
+)
+def test_estimate_rows_do_not_depend_on_their_block(tmp_path, capsys, argv):
+    # At --nmax 15 the sweep climbs in more and larger blocks than at --nmax 3.
+    for nmax in (3, 15):
+        out = tmp_path / f"n{nmax}.csv"
+        assert run(capsys, *argv.split(), "--nmax", str(nmax), "--seed", "4", "--out", str(out))[0] == 0
+    short, long = _csv_values(tmp_path / "n3.csv", 5), _csv_values(tmp_path / "n15.csv", 5)
+    assert len(short) == 4 and len(long) == 16
+    for (value, converged), (long_value, long_converged) in zip(short, long):
+        assert abs(value - long_value) <= 1e-12 * long_value and converged == long_converged
+
+
+def test_level4_estimate_sweep_holds_one_block_of_matrices(tmp_path, capsys, monkeypatch):
+    # Each operator matrix is 1 MiB at level 4: a block holds at most 16 of them,
+    # and one more is built only after the block before it has climbed.
+    alive, peak, rows = [0], [0], []
+    matrix = schauder.OperatorHandle.matrix
+
+    def tracked(handle):
+        mat = matrix(handle)
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        weakref.finalize(mat, lambda: alive.__setitem__(0, alive[0] - 1))
+        return mat
+
+    norm = schauder.batched_weighted_lp_norm
+
+    def counted(xs, *args):
+        rows.append(len(xs))
+        return norm(xs, *args)
+
+    monkeypatch.setattr(schauder.OperatorHandle, "matrix", tracked)
+    monkeypatch.setattr(schauder, "batched_weighted_lp_norm", counted)
+    argv = "basis-constants --level 4 --alpha 0.5 --p 3 --method estimate --restarts 1 --nmax 8 --seed 0"
+    assert run(capsys, *argv.split(), "--out", str(tmp_path / "bc.csv"))[0] == 0
+    assert peak[0] == 16
+    assert 0 < max(rows) <= min(16, schauder.ASCENT_BLOCK)

@@ -406,6 +406,19 @@ def test_lockstep_ascent_matches_sequential_oracle(m, monkeypatch):
         assert rep.converged == oracle.converged, (handle.label, ctx)
 
 
+@pytest.mark.parametrize("m, n_max", [(1, 3), (2, 1)])
+def test_lockstep_sweep_matches_sequential_oracle(m, n_max, monkeypatch):
+    # All cells of a sweep climb in one block; each restart keeps its own path.
+    cases = [LpContext(p, StateSpec(0.3, m), side) for p in (1.5, 3.0, 4.0) for side in ("left", "right")]
+    lockstep = [basis_constant_sweep(ctx, n_max, ESTIMATE, restarts=2, seed=9) for ctx in cases]
+    monkeypatch.setattr(schauder, "multistart_ascent", sequential_ascent)
+    for ctx, rows in zip(cases, lockstep):
+        for row, oracle in zip(rows, basis_constant_sweep(ctx, n_max, ESTIMATE, restarts=2, seed=9), strict=True):
+            assert abs(row.value - oracle.value) <= 1e-12 * oracle.value, (row.n, ctx)
+            assert abs(row.decomp_value - oracle.decomp_value) <= 1e-12 * oracle.decomp_value, (row.n, ctx)
+            assert (row.converged, row.decomp_converged) == (oracle.converged, oracle.decomp_converged), (row.n, ctx)
+
+
 def _ascent_callbacks(spec: StateSpec, p: float):
     """Block callbacks of the weighted p-norm that record how many rows each call gets."""
     weights = state_diagonal(spec)
@@ -427,12 +440,12 @@ def test_ascent_climbs_at_most_one_block_of_restarts():
     spec = StateSpec(0.3, 1)
     mat = partial_sum_handle(1, 1, 0.3).matrix()
     norm_of, norm_gradient, rows = _ascent_callbacks(spec, 3.0)
-    args = (mat, lambda rng: gaussian_matrix(2, rng).ravel(), norm_of, norm_gradient, 2 * ASCENT_BLOCK + 1)
-    value, converged = multistart_ascent(*args, seed=3)
+    args = ([mat], lambda rng: gaussian_matrix(2, rng).ravel(), norm_of, norm_gradient, 2 * ASCENT_BLOCK + 1)
+    [(value, converged)] = multistart_ascent(*args, seeds=[3])
     assert max(rows["norm"]) == ASCENT_BLOCK
     # One gradient call takes the images and the points of a block together.
     assert max(rows["gradient"]) == 2 * ASCENT_BLOCK
-    oracle_value, oracle_converged = sequential_ascent(*args, seed=3)
+    [(oracle_value, oracle_converged)] = sequential_ascent(*args, seeds=[3])
     assert abs(value - oracle_value) <= 1e-12 * oracle_value and converged == oracle_converged
 
 
@@ -445,13 +458,13 @@ def test_ascent_skips_zero_draws():
         x = gaussian_matrix(2, rng).ravel()
         return x if x[0].real > 0 else np.zeros_like(x)
 
-    args = (mat, some_zero, norm_of, norm_gradient, 12)
-    value, converged = multistart_ascent(*args, seed=1)
-    oracle_value, oracle_converged = sequential_ascent(*args, seed=1)
+    args = ([mat], some_zero, norm_of, norm_gradient, 12)
+    [(value, converged)] = multistart_ascent(*args, seeds=[1])
+    [(oracle_value, oracle_converged)] = sequential_ascent(*args, seeds=[1])
     assert value > 1.0
     assert abs(value - oracle_value) <= 1e-12 * oracle_value and converged == oracle_converged
-    zero = multistart_ascent(mat, lambda rng: np.zeros(4, complex), norm_of, norm_gradient, 5, seed=1)
-    assert zero == (0.0, False)
+    zero = multistart_ascent([mat], lambda rng: np.zeros(4, complex), norm_of, norm_gradient, 5, seeds=[1])
+    assert zero == [(0.0, False)]
 
 
 def test_estimator_rejections():
