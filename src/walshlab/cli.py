@@ -14,7 +14,7 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .linalg import (
     task_rng,
 )
 from .states import (
+    LEFT,
+    SIDES,
     LpContext,
     StateSpec,
     cond_expect,
@@ -81,16 +83,17 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_manifest(out_path: str, argv: list[str], params: dict, seed) -> None:
+def write_manifest(args, argv: list[str]) -> None:
+    """Write ``<out>.manifest.json``: argv, seed and every other parsed flag."""
     manifest = {
         "argv": list(argv),
-        "seed": seed,
-        "parameters": params,
+        "seed": getattr(args, "seed", None),
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "out", "seed")},
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": [out_path],
+        "outputs": [args.out],
     }
-    with open(out_path + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -101,68 +104,36 @@ def write_csv(out_path: str, header: str, rows: list[list]) -> None:
         fh.write(body)
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     value: float
     threshold: float | None  # None marks a residual report, never a failure
-    passed: bool = True
-
-    @property
-    def assertable(self) -> bool:
-        return self.threshold is not None
 
 
-def _print_checks(rows: list[CheckRow]) -> bool:
-    ok = True
-    for row in rows:
-        if row.assertable:
-            status = "PASS" if row.passed else "FAIL"
-            ok = ok and row.passed
-            print(f"{status:6s} {row.name:44s} value={fmt(row.value)} tol={fmt(row.threshold)}")
-        else:
-            print(f"REPORT {row.name:44s} value={fmt(row.value)}")
-    return ok
+def _row(name: str, value: float, threshold: float | None = None) -> CheckRow:
+    return CheckRow(name, float(value), threshold)
 
 
-def _assert_row(name: str, value: float, tol: float) -> CheckRow:
-    return CheckRow(name=name, value=float(value), threshold=tol, passed=float(value) <= tol)
-
-
-def _report_row(name: str, value: float) -> CheckRow:
-    return CheckRow(name=name, value=float(value), threshold=None)
-
-
-def _pick(tol, default):
-    return default if tol is None else tol
-
-
-def _suite_walsh(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
+def _suite_walsh(m: int, alpha: float) -> list[CheckRow]:
     rows = []
     count = 4**m
     mats = [walsh_matrix(n, m) for n in range(count)]
     eye = np.eye(1 << m)
-    rows.append(
-        _assert_row(
-            "unitarity",
-            max(np.max(np.abs(w @ dagger(w) - eye)) for w in mats),
-            _pick(tol, 1e-12),
-        )
-    )
+    rows.append(_row("unitarity", max(np.max(np.abs(w @ dagger(w) - eye)) for w in mats), 1e-12))
     worst = 0.0
     for n in range(count):
         for i in range(count):
             idx, sign = walsh_product_index(n, i)
             worst = max(worst, np.max(np.abs(mats[n] @ mats[i] - sign * mats[idx])))
-    rows.append(_assert_row("product-law", worst, _pick(tol, 1e-12)))
+    rows.append(_row("product-law", worst, 1e-12))
     worst = 0.0
     for k in range(2 * m):
         r = mats[1 << k]
         for n in range(1 << k, min(1 << (k + 1), count)):
             eps = predicted_rademacher_sign(k, n)
             worst = max(worst, np.max(np.abs(r @ mats[n] - eps * mats[n - (1 << k)])))
-    rows.append(_assert_row("epsilon-rule", worst, _pick(tol, 1e-12)))
-    rows.append(_assert_row("orthonormality", np.max(np.abs(gram_matrix(m) - np.eye(count))), _pick(tol, 1e-12)))
+    rows.append(_row("epsilon-rule", worst, 1e-12))
+    rows.append(_row("orthonormality", np.max(np.abs(gram_matrix(m) - np.eye(count))), 1e-12))
     worst_rt = 0.0
     worst_naive = 0.0
     for k in range(10):
@@ -170,12 +141,12 @@ def _suite_walsh(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
         c = walsh_coefficients(x)
         worst_rt = max(worst_rt, np.max(np.abs(walsh_synthesize(c, m) - x)))
         worst_naive = max(worst_naive, np.max(np.abs(c - walsh_coefficients_naive(x))))
-    rows.append(_assert_row("transform-round-trip", worst_rt, _pick(tol, 1e-12)))
-    rows.append(_assert_row("fast-vs-naive", worst_naive, _pick(tol, 1e-10)))
+    rows.append(_row("transform-round-trip", worst_rt, 1e-12))
+    rows.append(_row("fast-vs-naive", worst_naive, 1e-10))
     return rows
 
 
-def _suite_expectations(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
+def _suite_expectations(m: int, alpha: float) -> list[CheckRow]:
     spec = StateSpec(alpha, m)
     steps = range(-1, 2 * m)
     draws = [gaussian_matrix(spec.dim, task_rng(202, k)) for k in range(20)]
@@ -250,19 +221,19 @@ def _suite_expectations(m: int, alpha: float, tol: float | None) -> list[CheckRo
                 iso = max(iso, abs(lp_norm(w @ x, left) - lp_norm(x, left)))
                 iso = max(iso, abs(lp_norm(x @ w, right) - lp_norm(x, right)))
     return [
-        _assert_row("idempotence", idem, _pick(tol, 1e-11)),
-        _assert_row("tower-law", tower, _pick(tol, 1e-11)),
-        _assert_row("state-preservation", preserve, _pick(tol, 1e-11)),
-        _assert_row("module-property", module, _pick(tol, 1e-10)),
-        _assert_row("modular-invariance", modular, _pick(tol, 1e-10)),
-        _assert_row("completeness", complete, _pick(tol, 1e-11)),
-        _assert_row("gns-orthogonality", gns, _pick(tol, 1e-10)),
-        _assert_row("p-contractivity", contract, _pick(tol, 1e-9)),
-        _assert_row("multiplication-isometry", iso, _pick(tol, 1e-10)),
+        _row("idempotence", idem, 1e-11),
+        _row("tower-law", tower, 1e-11),
+        _row("state-preservation", preserve, 1e-11),
+        _row("module-property", module, 1e-10),
+        _row("modular-invariance", modular, 1e-10),
+        _row("completeness", complete, 1e-11),
+        _row("gns-orthogonality", gns, 1e-10),
+        _row("p-contractivity", contract, 1e-9),
+        _row("multiplication-isometry", iso, 1e-10),
     ]
 
 
-def _suite_identity(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
+def _suite_identity(m: int, alpha: float) -> list[CheckRow]:
     spec = StateSpec(alpha, m)
     count = 4**m
     probes = walsh_stack(m)
@@ -272,17 +243,17 @@ def _suite_identity(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
             _, norms = identity_residual(probes, n, spec, side)
             worst = max(worst, float(norms[0].max()))
     if alpha == 0.5:
-        return [_assert_row("decomposition-identity(exhaustive)", worst, _pick(tol, 1e-12))]
-    rows = [_report_row("decomposition-identity(max-residual)", worst)]
+        return [_row("decomposition-identity(exhaustive)", worst, 1e-12)]
+    rows = [_row("decomposition-identity(max-residual)", worst)]
     _, norms = identity_residual(walsh_matrix(1, m), 0, spec, "left")
-    rows.append(_report_row("residual[x=w1,n=0]", norms[0]))
+    rows.append(_row("residual[x=w1,n=0]", norms[0]))
     if m >= 2:
         _, norms = identity_residual(walsh_matrix(4, m), 1, spec, "left")
-        rows.append(_report_row("residual[x=w4,n=1]", norms[0]))
+        rows.append(_row("residual[x=w4,n=1]", norms[0]))
     return rows
 
 
-def _suite_blocks(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
+def _suite_blocks(m: int, alpha: float) -> list[CheckRow]:
     spec = StateSpec(alpha, m)
     rows = []
     above = 0.0
@@ -307,14 +278,14 @@ def _suite_blocks(m: int, alpha: float, tol: float | None) -> list[CheckRow]:
                 zero_leak = max(zero_leak, abs(c[0]))
                 if lo > 1:
                     below_leak = max(below_leak, np.max(np.abs(c[1:lo])))
-    rows.append(_assert_row("no-leak-above-block", above, _pick(tol, 1e-10)))
-    rows.append(_assert_row("odd-step-confined", odd_outside, _pick(tol, 1e-10)))
+    rows.append(_row("no-leak-above-block", above, 1e-10))
+    rows.append(_row("odd-step-confined", odd_outside, 1e-10))
     if alpha == 0.5:
-        rows.append(_assert_row("even-step-confined", even_outside, _pick(tol, 1e-10)))
+        rows.append(_row("even-step-confined", even_outside, 1e-10))
     else:
-        rows.append(_report_row("even-step-leak(outside)", even_outside))
-        rows.append(_report_row("even-step-leak(coefficient-0)", zero_leak))
-        rows.append(_report_row("even-step-leak(below-block)", below_leak))
+        rows.append(_row("even-step-leak(outside)", even_outside))
+        rows.append(_row("even-step-leak(coefficient-0)", zero_leak))
+        rows.append(_row("even-step-leak(below-block)", below_leak))
     return rows
 
 
@@ -347,11 +318,18 @@ def _validate_flags(args) -> None:
             raise ValueError(f"{message} (got {value})")
 
 
-def _add_common(parser, *, level=True, alpha=True):
-    if level:
-        parser.add_argument("--level", type=int, required=True, help="tensor level m")
-    if alpha:
-        parser.add_argument("--alpha", type=float, required=True, help="bias in (0, 1/2]")
+def _add_common(parser) -> None:
+    parser.add_argument("--level", type=int, required=True, help="tensor level m")
+    parser.add_argument("--alpha", type=float, required=True, help="bias in (0, 1/2]")
+
+
+def _add_sweep_flags(parser) -> None:
+    """The flags that the three projection sweeps share."""
+    parser.add_argument("--p", type=float, required=True)
+    parser.add_argument("--restarts", type=int, default=32)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
+    parser.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,23 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--in", dest="infile", required=True)
     n.add_argument("--p", type=float, required=True)
     n.add_argument("--alpha", type=float, required=True)
-    n.add_argument("--side", choices=("left", "right"), default="left")
+    n.add_argument("--side", choices=SIDES, default=LEFT)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
     _add_common(v)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", type=float, default=None, help="threshold of every assertion row")
 
     b = sub.add_parser("basis-constants", help="partial-sum projection norms")
     _add_common(b)
-    b.add_argument("--p", type=float, required=True)
+    _add_sweep_flags(b)
     b.add_argument("--method", choices=(EXACT2, ESTIMATE), required=True)
-    b.add_argument("--restarts", type=int, default=32)
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--side", choices=("left", "right"), default="left")
+    b.add_argument("--side", choices=SIDES, default=LEFT)
     b.add_argument("--nmax", type=int, default=None)
-    b.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
-    b.add_argument("--out", required=True)
 
     u = sub.add_parser("unconditionality", help="sign-sweep ratio experiment")
     _add_common(u)
@@ -401,59 +375,42 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--out", required=True)
 
     t = sub.add_parser("tensor-sweep", help="shell partial-sum norms on a two-block space")
-    t.add_argument("--level", type=int, required=True)
+    _add_common(t)
     t.add_argument("--level2", type=int, required=True)
-    t.add_argument("--alpha", type=float, required=True)
     t.add_argument("--alpha2", type=float, required=True)
-    t.add_argument("--p", type=float, required=True)
     t.add_argument("--nmax", type=int, required=True)
-    t.add_argument("--restarts", type=int, default=32)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
-    t.add_argument("--out", required=True)
+    _add_sweep_flags(t)
 
     k = sub.add_parser("classical", help="classical partial-sum norms on dyadic steps")
     _add_common(k)
-    k.add_argument("--p", type=float, required=True)
     k.add_argument("--nmax", type=int, required=True)
-    k.add_argument("--restarts", type=int, default=32)
-    k.add_argument("--seed", type=int, default=None)
-    k.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
-    k.add_argument("--out", required=True)
+    _add_sweep_flags(k)
     return parser
+
+
+def _emit_json(args, argv, payload: str) -> int:
+    """Write ``payload`` to ``--out`` with its manifest, or print it without one."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload + "\n")
+        write_manifest(args, argv)
+    else:
+        print(payload)
+    return 0
 
 
 def _cmd_gen_walsh(args, argv) -> int:
     if args.index >= 4**args.level:
         raise ValueError(f"--index {args.index} out of range for --level {args.level} (max {4**args.level - 1})")
     w = walsh_matrix(args.index, args.level, args.alpha, args.mode)
-    payload = json.dumps(matrix_to_json(w))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-        write_manifest(
-            args.out,
-            argv,
-            {"index": args.index, "level": args.level, "alpha": args.alpha, "mode": args.mode},
-            None,
-        )
-    else:
-        print(payload)
-    return 0
+    return _emit_json(args, argv, json.dumps(matrix_to_json(w)))
 
 
 def _cmd_coeffs(args, argv) -> int:
     with open(args.infile) as fh:
         x = matrix_from_json(json.load(fh))
     m = level_of_dim(x.shape[0])
-    payload = json.dumps(coefficients_to_json(walsh_coefficients(x), m))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-        write_manifest(args.out, argv, {"in": args.infile}, None)
-    else:
-        print(payload)
-    return 0
+    return _emit_json(args, argv, json.dumps(coefficients_to_json(walsh_coefficients(x), m)))
 
 
 def _cmd_norm(args, argv) -> int:
@@ -468,7 +425,11 @@ def _cmd_norm(args, argv) -> int:
 def _cmd_verify(args, argv) -> int:
     if args.suite == "identity":
         # 2 * 4**m residuals over all 4**m Walsh matrices: about 16x the time per level.
-        _check_explicit_level(args.level, "--level")
+        _check_level(args.level)
+    if args.suite == "expectations":
+        # The multiplication-isometry loop alone takes 36 * 4**m norms of 2**m-row
+        # matrices: the suite ran 74 s at m = 6, and would run for hours at m = 8.
+        _check_level(args.level, cap=6)
     if args.suite == "walsh":
         # The suite holds all 4**m Walsh matrices densely: 16**m complex entries.
         need = 16**args.level * np.dtype(np.complex128).itemsize
@@ -477,58 +438,52 @@ def _cmd_verify(args, argv) -> int:
                 f"--level {args.level} needs a {need / 2**30:.2f} GiB Walsh stack for the walsh "
                 f"suite, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit; lower --level"
             )
-    rows = SUITES[args.suite](args.level, args.alpha, args.tol)
-    ok = _print_checks(rows)
+    ok = True
+    for name, value, threshold in SUITES[args.suite](args.level, args.alpha):
+        if threshold is None:
+            print(f"REPORT {name:44s} value={fmt(value)}")
+            continue
+        if args.tol is not None:
+            threshold = args.tol
+        passed = value <= threshold
+        ok = ok and passed
+        print(f"{'PASS' if passed else 'FAIL':6s} {name:44s} value={fmt(value)} tol={fmt(threshold)}")
     return 0 if ok else 1
 
 
-def _check_explicit_level(level: int, flags: str) -> None:
-    if level > MAX_EXPLICIT_LEVEL:
-        raise ValueError(
-            f"{flags} = {level} exceeds {MAX_EXPLICIT_LEVEL}, the largest level "
-            f"this command runs at"
-        )
+def _check_level(level: int, flags: str = "--level", cap: int = MAX_EXPLICIT_LEVEL) -> None:
+    if level > cap:
+        raise ValueError(f"{flags} = {level} exceeds {cap}, the largest level this command runs at")
+
+
+def _seed(args, stochastic: bool) -> int:
+    """``--seed``, which a stochastic run must give; 0 when a deterministic run omits it."""
+    if args.seed is None and stochastic:
+        raise ValueError("--seed is required for the stochastic estimate")
+    return 0 if args.seed is None else args.seed
 
 
 def _cmd_basis_constants(args, argv) -> int:
-    _check_explicit_level(args.level, "--level")
-    n_max = args.nmax if args.nmax is not None else 4**args.level - 1
-    if n_max >= 4**args.level:
-        raise ValueError(f"--nmax {n_max} out of range for --level {args.level} (max {4**args.level - 1})")
+    _check_level(args.level)
+    if args.nmax is None:
+        args.nmax = 4**args.level - 1
+    if args.nmax >= 4**args.level:
+        raise ValueError(f"--nmax {args.nmax} out of range for --level {args.level} (max {4**args.level - 1})")
     if args.method == EXACT2 and args.p != 2:
         raise ValueError(f"--method exact2 applies only at --p 2 (got --p {args.p})")
-    spec = StateSpec(args.alpha, args.level)
-    ctx = LpContext(args.p, spec, args.side)
-    if args.method == ESTIMATE and args.seed is None:
-        raise ValueError("--seed is required for the stochastic estimate method")
-    seed = args.seed if args.seed is not None else 0
     rows = basis_constant_sweep(
-        ctx,
-        n_max,
+        LpContext(args.p, StateSpec(args.alpha, args.level), args.side),
+        args.nmax,
         method=args.method,
         restarts=args.restarts,
-        seed=seed,
+        seed=_seed(args, args.method == ESTIMATE),
     )
     write_csv(
         args.out,
         BASIS_HEADER,
         [[r.n, r.p, r.alpha, r.side, r.method, r.value, r.converged] for r in rows],
     )
-    write_manifest(
-        args.out,
-        argv,
-        {
-            "level": args.level,
-            "alpha": args.alpha,
-            "p": args.p,
-            "method": args.method,
-            "side": args.side,
-            "restarts": args.restarts,
-            "nmax": n_max,
-            "workers": args.workers,
-        },
-        args.seed,
-    )
+    write_manifest(args, argv)
     for r in rows:
         print(
             f"n={r.n} value={fmt(r.value)} decomposition={fmt(r.decomp_value)} gap={fmt(r.gap)}"
@@ -557,31 +512,17 @@ def _cmd_unconditionality(args, argv) -> int:
         SIGN_HEADER,
         [[report.p, report.alpha, report.m, report.trials, report.seed, report.max_ratio]],
     )
-    write_manifest(
-        args.out,
-        argv,
-        {
-            "level": args.level,
-            "alpha": args.alpha,
-            "p": args.p,
-            "mode": args.mode,
-            "trials": args.trials,
-            "workers": args.workers,
-        },
-        args.seed,
-    )
+    write_manifest(args, argv)
     print(f"max_ratio={fmt(report.max_ratio)}")
     return 0
 
 
 def _cmd_tensor_sweep(args, argv) -> int:
-    _check_explicit_level(args.level + args.level2, "--level + --level2")
+    _check_level(args.level + args.level2, "--level + --level2")
     ctx = TensorContext(StateSpec(args.alpha, args.level), StateSpec(args.alpha2, args.level2))
     if not 0 <= args.nmax <= max_shell_index(ctx):
         raise ValueError(f"--nmax {args.nmax} out of range (max {max_shell_index(ctx)})")
-    if args.p != 2 and args.seed is None:
-        raise ValueError("--seed is required for the stochastic estimate at p != 2")
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, args.p != 2)
 
     ns = range(args.nmax + 1)
     handles = (tensor_partial_sum_handle(n, ctx) for n in ns)
@@ -592,30 +533,14 @@ def _cmd_tensor_sweep(args, argv) -> int:
         values = [rep.value for rep in reports]
     rows = [[n, *shell_pair(n), args.alpha, args.alpha2, args.p, value] for n, value in zip(ns, values)]
     write_csv(args.out, TENSOR_HEADER, rows)
-    write_manifest(
-        args.out,
-        argv,
-        {
-            "level": args.level,
-            "level2": args.level2,
-            "alpha": args.alpha,
-            "alpha2": args.alpha2,
-            "p": args.p,
-            "nmax": args.nmax,
-            "restarts": args.restarts,
-            "workers": args.workers,
-        },
-        args.seed,
-    )
+    write_manifest(args, argv)
     return 0
 
 
 def _cmd_classical(args, argv) -> int:
     if not 0 <= args.nmax < (1 << args.level):
         raise ValueError(f"--nmax {args.nmax} out of range for --level {args.level}")
-    if args.p != 2 and args.seed is None:
-        raise ValueError("--seed is required for the stochastic estimate at p != 2")
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args, args.p != 2)
 
     ns = range(args.nmax + 1)
     if args.p == 2:
@@ -627,19 +552,7 @@ def _cmd_classical(args, argv) -> int:
         )
     rows = [[n, args.p, args.alpha, "left", method, value, converged] for n, (value, converged) in zip(ns, cells)]
     write_csv(args.out, BASIS_HEADER, rows)
-    write_manifest(
-        args.out,
-        argv,
-        {
-            "level": args.level,
-            "alpha": args.alpha,
-            "p": args.p,
-            "nmax": args.nmax,
-            "restarts": args.restarts,
-            "workers": args.workers,
-        },
-        args.seed,
-    )
+    write_manifest(args, argv)
     return 0
 
 

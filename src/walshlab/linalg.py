@@ -173,17 +173,18 @@ def schatten_norm(x, p: float):
     if p < 1:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
     x = as_stack(x)
+    # One (k, d, d) path for every shape, so that a matrix alone and in a stack
+    # takes the same array operations down to its last bit.
+    xs = x.reshape((-1,) + x.shape[-2:])
     if p < 2:
-        s = singular_values(x)
+        s = singular_values(xs)
         if p == 1:
             out = s.sum(axis=-1)
         else:
             # A zero matrix divides by the smallest normal float instead of 0.
-            top = np.maximum(s[..., :1], TINY)
-            out = top[..., 0] * ((s / top) ** p).sum(axis=-1) ** (1.0 / p)
-        return float(out) if x.ndim == 2 else out
-    xs = x.reshape((-1,) + x.shape[-2:])
-    if p == 2:
+            top = np.maximum(s[:, :1], TINY)
+            out = top[:, 0] * ((s / top) ** p).sum(axis=-1) ** (1.0 / p)
+    elif p == 2:
         v = xs.reshape(len(xs), -1).view(np.float64)
         out = np.sqrt((v * v).sum(axis=-1))
     else:

@@ -288,9 +288,7 @@ def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormR
     return NormReport(value=compressed_top_value(T.matrix(), root, basis), method=EXACT2)
 
 
-def multistart_ascent(
-    mats, draw, norm_of, norm_gradient, restarts: int, seeds, tol: float = ASCENT_TOL
-) -> list[tuple[float, bool]]:
+def multistart_ascent(mats, draw, norm_of, norm_gradient, restarts: int, seeds) -> list[tuple[float, bool]]:
     """Best ratio ||mat @ x|| / ||x|| of each cell's matrix, by multi-start normalized ascent on flat vectors.
 
     Cell c climbs on the c-th matrix of ``mats`` (an iterable of (N, N)
@@ -300,7 +298,7 @@ def multistart_ascent(
     at ||x|| = 1, ``mat* norm_gradient(mat @ x) - value * norm_gradient(x)``
     (the numerator gradient minus its component along the constraint), with
     0.5-backtracking, and stops once five consecutive iterations improve by
-    less than ``tol`` relative, or after ``MAX_ASCENT_ITER`` iterations.
+    less than ``ASCENT_TOL`` relative, or after ``MAX_ASCENT_ITER`` iterations.
     ``norm_of`` and ``norm_gradient`` act on a (k, N) block of row vectors,
     one value or gradient per row, whatever cell a row belongs to.
 
@@ -315,8 +313,6 @@ def multistart_ascent(
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     best = [(0.0, False)] * len(seeds)
     block: list[tuple] = []  # (cell, matrix, seed, first restart, restart count)
 
@@ -330,7 +326,7 @@ def multistart_ascent(
         nx = norm_of(xs)
         live = nx != 0.0
         values, converged = _climb_block(
-            mats_in_block, cells[live], xs[live] / nx[live, np.newaxis], norm_of, norm_gradient, tol
+            mats_in_block, cells[live], xs[live] / nx[live, np.newaxis], norm_of, norm_gradient
         )
         for local, value, conv in zip(cells[live], values, converged):
             cell = block[local][0]
@@ -373,7 +369,7 @@ def _block_product(mats, cells, xs, adjoint: bool = False) -> np.ndarray:
     return np.conj(out, out=out) if adjoint else out
 
 
-def _climb_block(mats, cells, xs, norm_of, norm_gradient, tol):
+def _climb_block(mats, cells, xs, norm_of, norm_gradient):
     """Climb the unit rows of ``xs``, row i on ``mats[cells[i]]``, together.
 
     Returns their final values and convergence flags.  Every round takes one
@@ -414,7 +410,7 @@ def _climb_block(mats, cells, xs, norm_of, norm_gradient, tol):
         xs[active], values[active] = x, value
         # A row that improved doubles its step; one whose search ran out starts again from 1.
         step[active] = np.where(trial > 1e-12, np.minimum(trial * 2.0, 1.0), 1.0)
-        quiet[active] = np.where(rel < tol, quiet[active] + 1, 0)
+        quiet[active] = np.where(rel < ASCENT_TOL, quiet[active] + 1, 0)
         done = flat | (quiet[active] >= 5)
         converged[active[done]] = True
         active = active[~done]
@@ -426,16 +422,13 @@ def estimate_norm_lp(
     ctx: LpContext,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = ASCENT_TOL,
 ) -> NormReport:
     """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
     on its materialized matrix, from seeded Gaussian matrices."""
-    return estimate_norms_lp([T], ctx, restarts, [seed], tol)[0]
+    return estimate_norms_lp([T], ctx, restarts, [seed])[0]
 
 
-def estimate_norms_lp(
-    handles, ctx: LpContext, restarts: int, seeds, tol: float = ASCENT_TOL
-) -> list[NormReport]:
+def estimate_norms_lp(handles, ctx: LpContext, restarts: int, seeds) -> list[NormReport]:
     """``estimate_norm_lp`` of each handle of an iterable, handle c from ``seeds[c]``.
 
     All cells climb in ``multistart_ascent``'s lockstep blocks, so each
@@ -454,28 +447,12 @@ def estimate_norms_lp(
 
     best = multistart_ascent(
         (T.matrix() for T in handles), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of,
-        norm_gradient, restarts, seeds, tol,
+        norm_gradient, restarts, seeds,
     )
     return [
         NormReport(value=value, method=ESTIMATE, restarts=restarts, converged=converged, seed=seed)
         for (value, converged), seed in zip(best, seeds)
     ]
-
-
-def basis_constant_row(
-    ctx: LpContext,
-    n: int,
-    method: str = EXACT2,
-    restarts: int = 32,
-    seed: int = 0,
-    mode: str = PAPER,
-) -> BasisConstantRow:
-    """One sweep cell: the norm of the n-th partial-sum projection plus the
-    norm of the matching decomposition operator rho(.)*I + set-digit
-    differences, and the gap between the two."""
-    if not 0 <= n < 4**ctx.state.m:
-        raise ValueError(f"projection index {n} out of range for level m={ctx.state.m}")
-    return _basis_rows(ctx, [n], method, restarts, seed, mode)[0]
 
 
 def basis_constant_sweep(
@@ -486,25 +463,22 @@ def basis_constant_sweep(
     seed: int = 0,
     mode: str = PAPER,
 ) -> list[BasisConstantRow]:
-    """Norms of the partial-sum projections for n = 0..n_max.
+    """Norms of the partial-sum projections P_n for n = 0..n_max.
 
-    Cells are independent and seeded by (seed, n): the estimate of cell n is
-    the one ``basis_constant_row`` gives alone.
+    Each row holds the norm of P_n, the norm of the matching decomposition
+    operator rho(.)*I + set-digit differences, and the gap between the two.
+    The estimates of P_n and its decomposition operator are seeded
+    seed + 2n and seed + 2n + 1 and all of them climb in lockstep, so each
+    cell's estimate does not depend on the others.
     """
-    spec = ctx.state
-    if not 0 <= n_max < 4**spec.m:
-        raise ValueError(f"sweep bound {n_max} out of range for level m={spec.m}")
-    return _basis_rows(ctx, range(n_max + 1), method, restarts, seed, mode)
-
-
-def _basis_rows(ctx: LpContext, ns, method: str, restarts: int, seed: int, mode: str) -> list[BasisConstantRow]:
-    """The cells of ``ns``; the estimates of P_n and its decomposition operator are
-    seeded seed + 2n and seed + 2n + 1, and all of them climb in lockstep."""
     if method not in (EXACT2, ESTIMATE):
         raise ValueError(f"unknown method {method!r}")
     if method == EXACT2 and ctx.p != 2:
         raise ValueError("exact2 applies only at p = 2")
     spec = ctx.state
+    if not 0 <= n_max < 4**spec.m:
+        raise ValueError(f"sweep bound {n_max} out of range for level m={spec.m}")
+    ns = range(n_max + 1)
     handles = (
         handle
         for n in ns

@@ -58,7 +58,7 @@ def factor_map_oracle(x: np.ndarray, maps: dict, m: int) -> np.ndarray:
     return t.reshape(1 << m, 1 << m)
 
 
-def sequential_ascent(mats, draw, norm_of, norm_gradient, restarts, seeds, tol=ASCENT_TOL):
+def sequential_ascent(mats, draw, norm_of, norm_gradient, restarts, seeds):
     """Ascent oracle: ``schauder.multistart_ascent`` climbing one cell and one restart at a time.
 
     Takes the same matrices, row-block callbacks and seeds and returns the
@@ -66,12 +66,12 @@ def sequential_ascent(mats, draw, norm_of, norm_gradient, restarts, seeds, tol=A
     loop on one vector.
     """
     return [
-        _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed, tol)
+        _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed)
         for mat, seed in zip(mats, seeds)
     ]
 
 
-def _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed, tol):
+def _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed):
     def norm(v):
         return float(norm_of(v[np.newaxis])[0])
 
@@ -114,7 +114,7 @@ def _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed, tol):
                 trial *= 0.5
             else:
                 step = 1.0
-            quiet = quiet + 1 if rel < tol else 0
+            quiet = quiet + 1 if rel < ASCENT_TOL else 0
             if quiet >= 5:
                 converged = True
                 break

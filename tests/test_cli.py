@@ -220,6 +220,48 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path, capsys):
     assert out_path.read_bytes() == body_one
 
 
+@pytest.mark.parametrize(
+    "argv, parameters, seed",
+    [
+        ("gen-walsh --index 5 --level 2", {"index": 5, "level": 2, "alpha": 0.5, "mode": "paper"}, None),
+        ("coeffs --in {w}", {"infile": "{w}"}, None),
+        (
+            "basis-constants --level 1 --alpha 0.3 --p 3 --method estimate --restarts 2 --seed 7",
+            {"level": 1, "alpha": 0.3, "p": 3.0, "restarts": 2, "workers": 1,
+             "method": "estimate", "side": "left", "nmax": 3},
+            7,
+        ),
+        (
+            "unconditionality --level 1 --alpha 0.3 --p 3 --mode sampled --trials 4 --seed 5 --workers 2",
+            {"level": 1, "alpha": 0.3, "p": 3.0, "mode": "sampled", "trials": 4, "workers": 2},
+            5,
+        ),
+        (
+            "tensor-sweep --level 1 --level2 1 --alpha 0.3 --alpha2 0.1 --p 2 --nmax 2",
+            {"level": 1, "alpha": 0.3, "level2": 1, "alpha2": 0.1, "nmax": 2, "p": 2.0,
+             "restarts": 32, "workers": 1},
+            None,
+        ),
+        (
+            "classical --level 2 --alpha 0.3 --p 4 --nmax 1 --restarts 1 --seed 0",
+            {"level": 2, "alpha": 0.3, "nmax": 1, "p": 4.0, "restarts": 1, "workers": 1},
+            0,
+        ),
+    ],
+    ids=lambda case: case.split()[0] if isinstance(case, str) else None,
+)
+def test_manifest_records_every_parsed_flag(tmp_path, capsys, argv, parameters, seed):
+    # Every flag but --out and --seed is a parameter; basis-constants records its resolved --nmax.
+    w = str(tmp_path / "w.json")
+    assert run(capsys, "gen-walsh", "--index", "1", "--level", "1", "--out", w)[0] == 0
+    out_path = tmp_path / "out"
+    assert run(capsys, *argv.format(w=w).split(), "--out", str(out_path))[0] == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["parameters"] == {k: v.format(w=w) if isinstance(v, str) else v for k, v in parameters.items()}
+    assert manifest["seed"] == seed
+    assert manifest["outputs"] == [str(out_path)]
+
+
 def test_fmt_17_digits():
     assert fmt(0.3) == "0.29999999999999999"
     assert fmt(1.0) == "1"
@@ -288,6 +330,29 @@ def test_verify_identity_refuses_level_above_explicit_cap(capsys, monkeypatch):
     assert code == 2
     assert "--level" in err
     assert out == ""
+
+
+def test_verify_expectations_refuses_level_above_six(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "expectations", _refuse_work)
+    code, out, err = run(capsys, "verify", "--suite", "expectations", "--level", "7", "--alpha", "0.3")
+    assert code == 2
+    assert "--level" in err
+    assert out == ""
+
+
+def test_verify_tol_replaces_every_assertion_threshold(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "walsh", "--level", "1", "--alpha", "0.3", "--tol", "1e-300")
+    assert code == 1
+    judged = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert any(line.startswith("FAIL") for line in judged)
+    assert judged and all(line.endswith("tol=1e-300") for line in judged)
+
+
+def test_verify_tol_leaves_report_rows_alone(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "blocks", "--level", "1", "--alpha", "0.3", "--tol", "1e-300")
+    assert code == 0
+    reports = [line for line in out.splitlines() if line.startswith("REPORT")]
+    assert reports and not any("tol=" in line for line in reports)
 
 
 def test_unconditionality_refuses_oversized_difference_stack(tmp_path, capsys, monkeypatch):

@@ -25,7 +25,6 @@ from walshlab.schauder import (
     EXACT2,
     MAX_SIGN_STACK_BYTES,
     OperatorHandle,
-    basis_constant_row,
     basis_constant_sweep,
     decomposition_handle,
     estimate_norm_lp,
@@ -472,8 +471,6 @@ def test_estimator_rejections():
     handle = OperatorHandle.identity(2)
     with pytest.raises(ValueError):
         estimate_norm_lp(handle, LpContext(2.0, spec), restarts=0)
-    with pytest.raises(ValueError):
-        estimate_norm_lp(handle, LpContext(2.0, spec), tol=0.0)
 
 
 def test_basis_constant_sweep_tracial_rows_are_one():
@@ -556,12 +553,12 @@ def test_unconditionality_refinement_is_monotone():
     assert large.max_ratio >= small.max_ratio - 1e-12
 
 
-def test_basis_constant_row_validation():
+def test_basis_constant_sweep_validation():
     ctx = LpContext(3.0, StateSpec(0.3, 1))
     with pytest.raises(ValueError):
-        basis_constant_row(ctx, 0, method=EXACT2)  # exact2 needs p = 2
+        basis_constant_sweep(ctx, 0, method=EXACT2)  # exact2 needs p = 2
     with pytest.raises(ValueError):
-        basis_constant_row(LpContext(2.0, StateSpec(0.3, 1)), 4, method=EXACT2)
+        basis_constant_sweep(LpContext(2.0, StateSpec(0.3, 1)), 4, method=EXACT2)
 
 
 def _handles_at(m):
