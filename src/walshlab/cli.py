@@ -83,8 +83,8 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_manifest(args, argv: list[str]) -> None:
-    """Write ``<out>.manifest.json``: argv, seed and every other parsed flag."""
+def write_manifest(args, argv: list[str], **records) -> None:
+    """Write ``<out>.manifest.json``: argv, seed, every other parsed flag and ``records``."""
     manifest = {
         "argv": list(argv),
         "seed": getattr(args, "seed", None),
@@ -92,6 +92,7 @@ def write_manifest(args, argv: list[str]) -> None:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [args.out],
+        **records,
     }
     with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -512,7 +513,7 @@ def _cmd_unconditionality(args, argv) -> int:
         SIGN_HEADER,
         [[report.p, report.alpha, report.m, report.trials, report.seed, report.max_ratio]],
     )
-    write_manifest(args, argv)
+    write_manifest(args, argv, sweep={"patterns": report.patterns, "probes": report.probes})
     print(f"max_ratio={fmt(report.max_ratio)}")
     return 0
 

@@ -33,6 +33,7 @@ __all__ = [
     "apply_factor_maps",
     "gaussian_matrix",
     "task_rng",
+    "task_gaussian_stack",
 ]
 
 
@@ -279,15 +280,38 @@ def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
 
 
+def _task_key(seed: int, ids) -> np.ndarray:
+    """Philox key of (seed, task ids): the seed word and one word folded from the ids."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    word = 0
+    for i in ids:
+        word = ((word * 0x9E3779B97F4A7C15) + int(i) + 1) & mask
+    return np.array([int(seed) & mask, word], dtype=np.uint64)
+
+
 def task_rng(seed: int, *ids: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, task ids).
 
     Streams depend only on the key, never on draw order across tasks, so
     sweeps give identical results for any worker count.
     """
-    mask = 0xFFFFFFFFFFFFFFFF
-    word = 0
-    for i in ids:
-        word = ((word * 0x9E3779B97F4A7C15) + int(i) + 1) & mask
-    key = np.array([int(seed) & mask, word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_task_key(seed, ids)))
+
+
+def task_gaussian_stack(dim: int, seed: int, count: int) -> np.ndarray:
+    """The stack of ``gaussian_matrix(dim, task_rng(seed, k))`` for k < count, bit for bit.
+
+    One Philox generator serves every k: its fresh state (counter 0, empty
+    buffer), the state ``task_rng`` starts from, is set again with the key of
+    ``(seed, k)``, and it fills the real and imaginary parts as one
+    (2, dim, dim) draw.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    parts = np.empty((count, 2, dim, dim))
+    for k in range(count):
+        fresh["state"]["key"] = _task_key(seed, (k,))
+        bits.state = fresh
+        gen.standard_normal(out=parts[k])
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)

@@ -19,6 +19,7 @@ from .linalg import (
     as_stack,
     gaussian_matrix,
     level_of_dim,
+    task_gaussian_stack,
     task_rng,
 )
 from .states import (
@@ -146,6 +147,8 @@ class SignSweepReport:
     trials: int
     seed: int
     max_ratio: float
+    patterns: int  # distinct sign patterns evaluated
+    probes: int  # probes kept after the norm filter
     pattern_maxima: dict | None = None
 
 
@@ -529,7 +532,9 @@ def unconditionality_constant(
 
     The probe set is every Walsh matrix, every matrix unit, and ``trials``
     seeded Gaussian draws; draw k depends only on (seed, k), so enlarging
-    ``trials`` refines the probe set monotonically.
+    ``trials`` refines the probe set monotonically.  Sampled patterns are
+    reduced to their distinct rows before any norm: the ratio is a max over
+    patterns, and sampled mode reports no per-pattern maxima.
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -551,13 +556,14 @@ def unconditionality_constant(
         rng = task_rng(seed, 0xFACE)
         patterns = np.where(rng.random((pattern_samples, steps)) < 0.5, -1.0, 1.0)
         patterns[0, :] = 1.0  # keep the all-plus pattern in the sample
+        patterns = np.unique(patterns, axis=0)
 
     d = spec.dim
     xs = np.concatenate(
         [
             walsh_stack(spec.m),
             matrix_unit_stack(d),
-            np.stack([gaussian_matrix(d, task_rng(seed, k)) for k in range(trials)]),
+            task_gaussian_stack(d, seed, trials),
         ]
     )
 
@@ -612,5 +618,7 @@ def unconditionality_constant(
         trials=trials,
         seed=seed,
         max_ratio=max_ratio,
+        patterns=patterns.shape[0],
+        probes=xs.shape[0],
         pattern_maxima=pattern_maxima,
     )

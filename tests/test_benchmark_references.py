@@ -2,9 +2,11 @@
 through its own judgement (perfbench/checks.py) on the commands that are quick
 to run: the exact p = 2 sweeps, the estimate sweeps at the reference seed and
 three verify suites.  A change to the CLI that moves an output fails here, and
-not only in a benchmark run."""
+not only in a benchmark run.  The two sign sweeps at the reference seed must
+match their references byte for byte."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -49,3 +51,28 @@ def test_cli_outputs_match_benchmark_references(perfbench, tmp_path, monkeypatch
         stdout = capsys.readouterr().out
         output = (tmp_path / cmd.out).read_text() if cmd.out else None
         assert checks.command_problems(cmd, checks.Outcome(rc, stdout, output), references) == [], cmd.argv
+
+
+def test_sign_sweep_csv_matches_benchmark_references_and_manifest_records_sweep(
+    perfbench, tmp_path, monkeypatch, capsys
+):
+    # The sweep's size goes to the manifest only: each CSV body equals its stored
+    # reference byte for byte, and stdout carries nothing but max_ratio.
+    checks, workloads = perfbench
+    references = checks.load_references()
+    exhaustive, sampled = workloads.sign_sweep(references["seed"], 0)
+    monkeypatch.chdir(tmp_path)
+    sizes = {}
+    for cmd in (exhaustive, sampled):
+        assert cli.run_command(list(cmd.argv)) == 0
+        body = (tmp_path / cmd.out).read_text()
+        assert body == references["outputs"][workloads.reference_key(cmd.argv)], cmd.argv
+        assert capsys.readouterr().out == f"max_ratio={body.splitlines()[1].split(',')[-1]}\n"
+        manifest = json.loads((tmp_path / (cmd.out + ".manifest.json")).read_text())
+        sizes[cmd.out] = manifest["sweep"]
+    # Exhaustive at m = 2: all 2**4 patterns over 16 Walsh matrices, 16 matrix
+    # units and 5000 draws.  Sampled at m = 3: 256 draws of 2**6 patterns, and
+    # 64 + 64 + 100 probes.
+    assert sizes[exhaustive.out] == {"patterns": 16, "probes": 5032}
+    assert sizes[sampled.out]["probes"] == 228
+    assert 1 < sizes[sampled.out]["patterns"] <= 64

@@ -179,7 +179,8 @@ def test_csv_reproducible_across_runs_and_workers(tmp_path, capsys):
 
 
 def test_sign_sweep_csv_identical_across_workers_over_several_blocks(tmp_path, capsys, monkeypatch):
-    # At level 3 with 200 trials one block holds 49 of the 256 sampled patterns.
+    # At level 3 with 200 trials one block holds 49 patterns; the 256 sampled
+    # patterns hold 62 distinct ones, so the sweep takes two blocks.
     from walshlab import schauder
 
     stacks = []

@@ -9,6 +9,7 @@ from helpers import factor_map_oracle, random_matrix, random_psd
 from walshlab.linalg import (
     apply_factor_maps,
     dagger,
+    gaussian_matrix,
     gns_inner,
     kron,
     level_of_dim,
@@ -16,6 +17,8 @@ from walshlab.linalg import (
     matrix_to_json,
     schatten_norm,
     singular_values,
+    task_gaussian_stack,
+    task_rng,
 )
 from walshlab.states import StateSpec, state_diagonal
 from walshlab.walsh import walsh_matrix
@@ -249,3 +252,16 @@ def test_apply_factor_maps_rejects_bad_input():
         apply_factor_maps(np.eye(4), {2: np.eye(4)})
     with pytest.raises(ValueError):
         apply_factor_maps(np.zeros((3, 4, 2)), {0: np.eye(4)})
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+@pytest.mark.parametrize("seed", [0, 17, 2**40, -3])
+@pytest.mark.parametrize("count", [0, 1, 257])
+def test_task_gaussian_stack_equals_per_task_draws_bit_for_bit(d, seed, count):
+    # One re-keyed generator gives the numbers of one fresh task_rng per draw.
+    stack = task_gaussian_stack(d, seed, count)
+    loop = [gaussian_matrix(d, task_rng(seed, k)) for k in range(count)]
+    oracle = np.stack(loop) if loop else np.empty((0, d, d), dtype=np.complex128)
+    assert stack.shape == oracle.shape and stack.dtype == oracle.dtype
+    assert np.array_equal(stack, oracle)
+    assert stack.tobytes() == oracle.tobytes()

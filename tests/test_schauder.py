@@ -678,3 +678,29 @@ def test_unconditionality_refuses_oversized_stack_before_building_probes():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_sampled_sweep_takes_each_distinct_pattern_once(monkeypatch):
+    # At m = 2 the 256 sampled patterns hold at most 2**4 = 16 distinct rows.
+    ctx = LpContext(3.0, StateSpec(0.3, 2))
+    trials = 12
+    counts = []
+    norm = schauder.batched_weighted_lp_norm
+
+    def recording(xs, *args, **kwargs):
+        counts.append(len(np.asarray(xs).reshape(-1, 4, 4)))
+        return norm(xs, *args, **kwargs)
+
+    monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
+    rep = unconditionality_constant(ctx, "sampled", trials=trials, seed=5, pattern_samples=256)
+    maxima = _sign_sweep_reference(ctx, "sampled", trials, seed=5, pattern_samples=256)
+    assert len(maxima) == 256
+    assert abs(rep.max_ratio - max(maxima)) <= 1e-12 * max(maxima)
+    sample = np.where(task_rng(5, 0xFACE).random((256, 4)) < 0.5, -1.0, 1.0)
+    sample[0, :] = 1.0
+    probes = 16 + 16 + trials  # Walsh matrices, matrix units, Gaussian draws; none is zero
+    assert rep.patterns == len({tuple(row) for row in sample}) <= 16
+    assert rep.probes == probes
+    assert rep.pattern_maxima is None
+    assert counts[0] == probes  # the probes' own norms
+    assert sum(counts) == rep.patterns * rep.probes + probes

@@ -260,24 +260,10 @@ def test_weighted_lp_norm_rejects():
                 norm(x, w, p, "middle")
 
 
-def _same_norm(stacked, one, p) -> bool:
-    # The final root (sum)**(1/p) of one matrix is a scalar power, of a stack an
-    # array power; NumPy's vectorized pow may round the last bit differently.
-    if p in (1.0, 2.0, np.inf):
-        return stacked == one
-    return abs(stacked - one) <= 4 * np.finfo(float).eps * one
-
-
-def _same_gradient(stacked, one, p) -> bool:
-    # The mode weights hold the same root as the norm (see _same_norm).
-    if p in (1.0, 2.0, np.inf):
-        return np.array_equal(stacked, one)
-    return np.max(np.abs(stacked - one)) <= 4 * np.finfo(float).eps * np.max(np.abs(one))
-
-
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
 def test_stacked_norms_equal_per_matrix_loop(batch):
-    # One Schatten sum and one norm body serve one matrix and a stack.
+    # One Schatten sum and one norm body serve one matrix and a stack, and both
+    # take one (k, d, d) path, final root included: values agree bit for bit.
     spec = StateSpec(0.3, 2)
     w = state_diagonal(spec)
     count = int(np.prod(batch, dtype=int))
@@ -286,7 +272,7 @@ def test_stacked_norms_equal_per_matrix_loop(batch):
         schatten = schatten_norm(xs, p)
         assert isinstance(schatten, float) if batch == () else schatten.shape == batch
         for idx in np.ndindex(batch):
-            assert _same_norm(np.asarray(schatten)[idx], schatten_norm(xs[idx], p), p)
+            assert np.asarray(schatten)[idx] == schatten_norm(xs[idx], p)
         for side in ("left", "right"):
             ctx = LpContext(p, spec, side)
             stacked = batched_weighted_lp_norm(xs, w, p, side)
@@ -296,9 +282,9 @@ def test_stacked_norms_equal_per_matrix_loop(batch):
             for idx in np.ndindex(batch):
                 one = weighted_lp_norm(xs[idx], w, p, side)
                 assert lp_norm(xs[idx], ctx) == one
-                assert _same_norm(stacked[idx], one, p)
-                assert _same_norm(np.asarray(values)[idx], one, p)
-    # The gradient body is stack-aware too; a zero matrix in a stack has a zero gradient.
+                assert stacked[idx] == one
+                assert np.asarray(values)[idx] == one
+    # The gradient body is stack-aware too, bit for bit; a zero matrix in a stack has a zero gradient.
     ys = xs.copy()
     zero = (-1,) * len(batch)
     if batch:
@@ -309,7 +295,7 @@ def test_stacked_norms_equal_per_matrix_loop(batch):
             assert grads.shape == ys.shape
             for idx in np.ndindex(batch):
                 one = weighted_lp_gradient(ys[idx], w, p, side)
-                assert _same_gradient(grads[idx], one, p), (p, side, idx)
+                assert np.array_equal(grads[idx], one), (p, side, idx)
             if batch:
                 assert not np.any(grads[zero])
 
