@@ -8,9 +8,10 @@ patterns) at m = 1..5, p = 3, 100 trials, and the exhaustive sweep (all
 2**(2m) patterns) at m = 1..3, p = 4, 5000 trials at m <= 2 and 1000 at
 m = 3.  Each case runs once untimed as a warm-up, then ``--runs`` times; the
 record holds the minimum and median seconds of the whole sweep, of its probe
-draws (``task_gaussian_stack``) and of its norms (``batched_weighted_lp_norm``,
-the probes' own norms and every pattern block), and the distinct patterns
-evaluated and the probes kept.
+draws (``task_gaussian_stack``), of its martingale differences
+(``filtration_differences``, one call per probe run) and of its norms
+(``batched_weighted_lp_norm``, the probes' own norms and every pattern
+block), and the distinct patterns evaluated and the probes kept.
 """
 
 import argparse
@@ -53,32 +54,41 @@ def summary(times: list, key: str) -> dict:
     return {f"{key}_min_s": min(times), f"{key}_median_s": statistics.median(times)}
 
 
+# Record key of each timed layer, by its name in ``schauder``.
+LAYERS = {
+    "task_gaussian_stack": "draw",
+    "filtration_differences": "differences",
+    "batched_weighted_lp_norm": "norm",
+}
+
+
 def time_case(mode: str, m: int, p: float, trials: int, runs: int) -> dict:
     ctx = LpContext(p, StateSpec(ALPHA, m))
-    draws, norms = [], []
     sweep = functools.partial(schauder.unconditionality_constant, ctx, mode, trials=trials, seed=SEED)
-    draw, norm = schauder.task_gaussian_stack, schauder.batched_weighted_lp_norm
-    schauder.task_gaussian_stack = timed(draw, draws)
-    schauder.batched_weighted_lp_norm = timed(norm, norms)
+    originals = {name: getattr(schauder, name) for name in LAYERS}
+    spent = {name: [] for name in LAYERS}
+    for name, fn in originals.items():
+        setattr(schauder, name, timed(fn, spent[name]))
     try:
         report = sweep()  # warm-up
-        totals, draw_s, norm_s = [], [], []
+        totals, layer_s = [], {name: [] for name in LAYERS}
         for _ in range(runs):
-            draws.clear()
-            norms.clear()
+            for calls in spent.values():
+                calls.clear()
             start = time.perf_counter()
             sweep()
             totals.append(time.perf_counter() - start)
-            draw_s.append(sum(draws))
-            norm_s.append(sum(norms))
+            for name, calls in spent.items():
+                layer_s[name].append(sum(calls))
     finally:
-        schauder.task_gaussian_stack, schauder.batched_weighted_lp_norm = draw, norm
+        for name, fn in originals.items():
+            setattr(schauder, name, fn)
 
     record = {"mode": mode, "m": m, "p": p, "trials": trials,
               "patterns": report.patterns, "probes": report.probes}
     record.update(summary(totals, "sweep"))
-    record.update(summary(draw_s, "draw"))
-    record.update(summary(norm_s, "norm"))
+    for name, key in LAYERS.items():
+        record.update(summary(layer_s[name], key))
     return record
 
 

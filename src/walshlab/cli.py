@@ -329,7 +329,6 @@ def _add_sweep_flags(parser) -> None:
     parser.add_argument("--p", type=float, required=True)
     parser.add_argument("--restarts", type=int, default=32)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
     parser.add_argument("--out", required=True)
 
 
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--mode", choices=("exhaustive", "sampled"), required=True)
     u.add_argument("--trials", type=int, required=True)
     u.add_argument("--seed", type=int, required=True)
-    u.add_argument("--workers", type=int, default=1, help="threads for the sign patterns")
     u.add_argument("--out", required=True)
 
     t = sub.add_parser("tensor-sweep", help="shell partial-sum norms on a two-block space")
@@ -386,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(k)
     k.add_argument("--nmax", type=int, required=True)
     _add_sweep_flags(k)
+    for sweep in (b, u, t, k):
+        sweep.add_argument("--workers", type=int, default=1, help="recorded only; runs serially")
     return parser
 
 
@@ -506,7 +506,6 @@ def _cmd_unconditionality(args, argv) -> int:
         mode=args.mode,
         trials=args.trials,
         seed=args.seed,
-        workers=args.workers,
     )
     write_csv(
         args.out,

@@ -47,12 +47,14 @@ from .walsh import (
 )
 
 MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
-# The sign sweep holds every martingale difference of every probe at once;
-# refuse sweeps whose difference stack would outgrow this many bytes.
+# Refuse sign sweeps whose differences, over all probes and steps, would
+# outgrow this many bytes.  The sweep never holds them all at once, so this
+# bounds its total work (every difference is combined under every pattern),
+# not any one allocation.
 MAX_SIGN_STACK_BYTES = 1 << 30
-# Bytes of one block of the sign sweep's combined stack: a run of patterns
-# over a run of probes.  Its norm holds a few more arrays of that size: the
-# weighted copy, the Gram stack.
+# Bytes of every stack the sign sweep builds from a run of probes: their 2m
+# differences, and the combined stack of one block of patterns over them.
+# A norm holds a few more arrays of that size: the weighted copy, the Gram stack.
 SIGN_BLOCK_BYTES = 1 << 24
 
 EXACT2 = "exact2"
@@ -176,16 +178,27 @@ def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
 
 
 class _PartialSumHandle(OperatorHandle):
-    """P_n.  Its matrix is the first n + 1 synthesis columns times the first
-    n + 1 analysis rows of the system, sliced from ``_system_factors``."""
+    """P_n.  Its matrix is built from the first n + 1 analysis rows of the
+    system, cached in ``_system_factors``: column j of the matrix is the
+    synthesis of their column j."""
 
     def __init__(self, n: int, m: int, alpha: float, mode: str):
         super().__init__(1 << m, lambda x: partial_sum(x, n, alpha, mode), f"P[{n}]", rows=n + 1)
         self._system = (m, alpha, mode)
 
     def _materialize(self) -> np.ndarray:
-        synthesis, analysis = _system_factors(*self._system)
-        return (synthesis[: self.rows].T @ analysis[: self.rows]).astype(np.complex128)
+        m, alpha, mode = self._system
+        synthesis, analysis = _system_factors(m, alpha, mode)
+        if mode == PAPER:
+            # Paper-mode factors are dyadic (+-1, +-1/2), so this sum of products is exact.
+            return (synthesis[: self.rows].T @ analysis[: self.rows]).astype(np.complex128)
+        # Meanzero factors are not, and at small alpha the terms of that sum
+        # cancel; the per-factor synthesis keeps the digits.
+        count = 4**m
+        coefficients = np.zeros((count, count))
+        coefficients[:, : self.rows] = analysis[: self.rows].T
+        images = system_synthesize(coefficients, m, alpha, mode).reshape(count, count)
+        return np.ascontiguousarray(images.T, dtype=np.complex128)
 
 
 @functools.lru_cache(maxsize=8)
@@ -516,7 +529,7 @@ def _sign_patterns(count: int) -> np.ndarray:
 
 
 def sign_sweep_stack_bytes(m: int, trials: int) -> int:
-    """Bytes of the sign sweep's difference stack: 2m steps of 2*4**m + trials probes."""
+    """Bytes of all the sign sweep's differences: 2m steps of 2*4**m + trials probes."""
     return 2 * m * (2 * 4**m + trials) * 4**m * np.dtype(np.complex128).itemsize
 
 
@@ -526,7 +539,6 @@ def unconditionality_constant(
     trials: int = 1024,
     seed: int = 0,
     pattern_samples: int = 256,
-    workers: int = 1,
 ) -> SignSweepReport:
     """Largest ratio ||rho(x)I + sum eps_s D_s x|| / ||x|| over sign patterns.
 
@@ -534,7 +546,9 @@ def unconditionality_constant(
     seeded Gaussian draws; draw k depends only on (seed, k), so enlarging
     ``trials`` refines the probe set monotonically.  Sampled patterns are
     reduced to their distinct rows before any norm: the ratio is a max over
-    patterns, and sampled mode reports no per-pattern maxima.
+    patterns, and sampled mode reports no per-pattern maxima.  The probes
+    are taken in runs and the patterns in blocks, so no stack built from the
+    probes outgrows ``SIGN_BLOCK_BYTES`` (unless one probe's differences do).
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -572,38 +586,21 @@ def unconditionality_constant(
     keep = base_norms > 1e-12
     xs, base_norms = xs[keep], base_norms[keep]
 
-    # D_s = E_s - E_{s-1}, one kernel call per step on the whole probe stack.
-    mean_part, diff_parts = filtration_differences(xs, -1, steps - 1, spec)
-
-    def block_maxima(block: tuple[slice, slice]) -> np.ndarray:
-        rows, probes = block
-        combined = mean_part[None, probes] + np.tensordot(patterns[rows], diff_parts[:, probes], axes=(1, 0))
-        norms = batched_weighted_lp_norm(
-            combined.reshape(-1, d, d), weights, ctx.p, ctx.side
-        ).reshape(combined.shape[0], -1)
-        return (norms / base_norms[None, probes]).max(axis=1)
-
-    # A block holds whole patterns over a run of probes; one pattern is split
-    # over several probe runs only when its own stack outgrows the budget.
-    probe_chunk = max(1, min(xs.shape[0], SIGN_BLOCK_BYTES // (d * d * xs.itemsize)))
-    chunk = max(1, SIGN_BLOCK_BYTES // (probe_chunk * d * d * xs.itemsize))
-    blocks = [
-        (slice(start, start + chunk), slice(first, first + probe_chunk))
-        for start in range(0, patterns.shape[0], chunk)
-        for first in range(0, xs.shape[0], probe_chunk)
-    ]
-    if workers <= 1 or len(blocks) == 1:
-        block_max = [block_maxima(b) for b in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            block_max = list(pool.map(block_maxima, blocks))
-
-    # The probe runs of one pattern run combine by max.
+    matrix_bytes = d * d * xs.itemsize
+    run = max(1, SIGN_BLOCK_BYTES // (steps * matrix_bytes))
     row_max = np.zeros(patterns.shape[0])
-    for (rows, _), maxima in zip(blocks, block_max):
-        row_max[rows] = np.maximum(row_max[rows], maxima)
+    for first in range(0, xs.shape[0], run):
+        probes = slice(first, first + run)
+        # D_s = E_s - E_{s-1}, one kernel call per step on the run.
+        mean_part, diff_parts = filtration_differences(xs[probes], -1, steps - 1, spec)
+        chunk = max(1, SIGN_BLOCK_BYTES // (mean_part.shape[0] * matrix_bytes))
+        for start in range(0, patterns.shape[0], chunk):
+            rows = slice(start, start + chunk)
+            combined = mean_part + np.tensordot(patterns[rows], diff_parts, axes=(1, 0))
+            norms = batched_weighted_lp_norm(
+                combined.reshape(-1, d, d), weights, ctx.p, ctx.side
+            ).reshape(combined.shape[0], -1)
+            row_max[rows] = np.maximum(row_max[rows], (norms / base_norms[probes]).max(axis=1))
     pattern_maxima: dict | None = None
     if mode == "exhaustive":
         pattern_maxima = {

@@ -132,6 +132,19 @@ def test_classical_norm_exact2_matches_dense_oracle(alpha):
             assert abs(value - oracle) <= 1e-13 * oracle, (level, n, value, oracle)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1e-4])
+def test_classical_norm_exact2_follows_the_digit_rule(alpha):
+    # ||P_n||_2 = kappa**(L - t(n)), kappa = (4 alpha (1 - alpha))**(-1/2), t(n) the trailing 1 bits of n.
+    kappa = (4 * alpha * (1 - alpha)) ** -0.5
+    for level in range(1, 9):
+        ns = range(1 << level) if level <= 6 else [0, 1, 2, 5, 63, 64, 100, (1 << level) - 2, (1 << level) - 1]
+        for n in ns:
+            trailing = (n ^ (n + 1)).bit_length() - 1
+            target = kappa ** (level - trailing)
+            value = classical_norm_exact2(n, level, alpha)
+            assert abs(value - target) <= 1e-13 * target, (level, n, value, target)
+
+
 def test_biased_walsh_functions_are_orthonormal():
     # Products of the normalized biased digits are orthonormal under the dyadic weights;
     # at alpha = 1/2 they are the classical +-1 Walsh functions.

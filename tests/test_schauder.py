@@ -302,6 +302,35 @@ def test_p2_basis_constant_closed_form(alpha):
         assert abs(sup - target) <= 1e-14 * target, (m, sup, target)
 
 
+def _biased_digits(n: int, m: int, mode: str) -> int:
+    """k(n): the factors i whose bit 2i is biased while bits 0..2i of n are not all 1.
+
+    Every bit 2i is biased in paper mode; in meanzero mode only when bit 2i + 1 is set.
+    """
+    count = 0
+    for i in range(m):
+        low = (1 << (2 * i + 1)) - 1
+        biased = mode == PAPER or (n >> (2 * i + 1)) & 1
+        count += bool(biased) and n & low != low
+    return count
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1e-4])
+def test_p2_partial_sum_norms_follow_the_digit_rule(alpha):
+    # ||P_n||_2 = kappa**k(n) with kappa = (4 alpha (1 - alpha))**(-1/2): every n at
+    # m <= 3, a sample at m = 4 holding n = 127 and 255, whose P_n is the identity.
+    kappa = (4 * alpha * (1 - alpha)) ** -0.5
+    cells = [(m, n) for m in (1, 2, 3) for n in range(4**m)]
+    cells += [(4, n) for n in (0, 1, 6, 42, 100, 127, 128, 200, 254, 255)]
+    for m, n in cells:
+        spec = StateSpec(alpha, m)
+        for mode in (PAPER, MEANZERO):
+            target = kappa ** _biased_digits(n, m, mode)
+            for side in ("left", "right"):
+                value = exact_norm_p2(partial_sum_handle(n, m, alpha, mode), spec, side).value
+                assert abs(value - target) <= 1e-13 * target, (m, n, mode, side, value, target)
+
+
 def test_exact_norm_rejects_degenerate_weights():
     with pytest.raises(ValueError):
         exact_norm_p2(OperatorHandle.identity(4), StateSpec(1e-200, 2))  # alpha**2 underflows to 0
@@ -325,6 +354,32 @@ def test_subset_projection_orthogonal_in_tracial_case():
     for steps in subsets:
         rep = exact_norm_p2(subset_projection_handle(steps, spec), spec)
         assert abs(rep.value - 1) < 1e-10, steps
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+def test_p0_attains_its_hoelder_value(p):
+    # P_0 x = 2**-m Tr(x) I, and I has norm 1, so ||P_0|| = 2**-m times the
+    # norm of the trace functional: (sum w**(-1/(p-1)))**((p-1)/p), or 1 / min w
+    # at p = 1.  The Hoelder-extremal x attains it.
+    for m in (1, 2, 3):
+        for alpha in (0.3, 0.1):
+            spec = StateSpec(alpha, m)
+            w = state_diagonal(spec)
+            if p == 1.0:
+                x = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+                x[np.argmin(w), np.argmin(w)] = 1.0
+                target = 2.0**-m / w.min()
+            else:
+                x = np.diag(w ** (-1 / (p - 1))).astype(np.complex128)
+                target = 2.0**-m * np.sum(w ** (-1 / (p - 1))) ** ((p - 1) / p)
+            for side in ("left", "right"):
+                ctx = LpContext(p, spec, side)
+                ratio = lp_norm(partial_sum(x, 0, alpha), ctx) / lp_norm(x, ctx)
+                assert abs(ratio - target) <= 1e-13 * target, (m, alpha, side, ratio, target)
+    if p == 1.5:
+        ctx = LpContext(p, StateSpec(0.1, 3))
+        x = np.diag(state_diagonal(ctx.state) ** -2.0).astype(np.complex128)
+        assert abs(lp_norm(partial_sum(x, 0, 0.1), ctx) / lp_norm(x, ctx) - 12.6543209876543) <= 1e-12
 
 
 def test_estimator_matches_exact_at_p2():
@@ -657,15 +712,43 @@ def test_unconditionality_splits_probes_when_one_pattern_outgrows_the_budget(mod
 
     monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", budget)
     monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
-    for workers in (1, 2):
-        stacks.clear()
-        split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20, workers=workers)
-        blocks = stacks[1:]  # the first call takes the probes' own norms
-        patterns = 16 if mode == "exhaustive" else 20
-        assert len(blocks) > patterns  # every pattern took several probe runs
-        assert max(blocks) <= budget
-        assert split.max_ratio == whole.max_ratio
-        assert split.pattern_maxima == whole.pattern_maxima
+    split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    blocks = stacks[1:]  # the first call takes the probes' own norms
+    patterns = 16 if mode == "exhaustive" else 20
+    assert len(blocks) > patterns  # every pattern took several probe runs
+    assert max(blocks) <= budget
+    assert split.max_ratio == whole.max_ratio
+    assert split.pattern_maxima == whole.pattern_maxima
+
+
+@pytest.mark.parametrize("mode, trials", [("exhaustive", 40), ("sampled", 300)])
+def test_unconditionality_keeps_every_stack_within_the_budget(mode, trials, monkeypatch):
+    ctx = LpContext(3.0, StateSpec(0.3, 2))
+    whole = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    budget = 3 * 4 * 16 * 16  # three probes' differences: 2m = 4 steps of 4x4 complex matrices
+    differences, norm_inputs = [], []
+    filtration, norm = schauder.filtration_differences, schauder.batched_weighted_lp_norm
+
+    def recording_filtration(*args, **kwargs):
+        out = filtration(*args, **kwargs)
+        differences.append(out)
+        return out
+
+    def recording_norm(xs, *args, **kwargs):
+        norm_inputs.append(np.asarray(xs).nbytes)
+        return norm(xs, *args, **kwargs)
+
+    monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", budget)
+    monkeypatch.setattr(schauder, "filtration_differences", recording_filtration)
+    monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording_norm)
+    split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    blocks = norm_inputs[1:]  # the first call takes the probes' own norms
+    assert len(differences) > 1  # several probe runs
+    assert len(blocks) > len(differences)  # several pattern blocks per run
+    assert max(arr.nbytes for pair in differences for arr in pair) <= budget
+    assert max(blocks) <= budget
+    assert split.max_ratio == whole.max_ratio
+    assert split.pattern_maxima == whole.pattern_maxima
 
 
 def test_unconditionality_refuses_oversized_stack_before_building_probes():
