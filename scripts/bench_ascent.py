@@ -12,8 +12,8 @@ alpha = 0.3, 4 restarts, seed 0), and ``classical_norm_estimates`` of
 n = 0..11 at levels 4..8 (p = 4, alpha = 0.3, 8 restarts, cell n seeded n).
 Each case runs once untimed as a warm-up, then ``--runs`` times; the record
 holds the minimum and median seconds, the value (the largest over a sweep),
-the ascent rounds the case needed (one gradient call per round of a block,
-summed over blocks) and its norm calls.  A single cell's partial-sum handle
+the rounds of the dual power iteration the case needed (summed over blocks)
+and its norm calls.  A single cell's partial-sum handle
 is built and materialized outside the timed call, so those times cover the
 ascent only; a sweep's times include building its operators.
 """
@@ -36,30 +36,44 @@ from walshlab.states import LpContext, StateSpec
 RESTARTS = 8
 SWEEP_RESTARTS = 4
 ALPHA = 0.3
-# The gradient and the norm each estimator's ascent calls, by module.
-MATRIX_CALLS = {"rounds": (schauder, "weighted_lp_gradient"), "norm_calls": (schauder, "batched_weighted_lp_norm")}
-VECTOR_CALLS = {"rounds": (classical, "_weighted_vector_gradient"), "norm_calls": (classical, "_weighted_vector_norm")}
+# The norm each estimator's iteration calls, by module.
+MATRIX_CALLS = {"norm_calls": (schauder, "batched_weighted_lp_norm")}
+VECTOR_CALLS = {"norm_calls": (classical, "_weighted_vector_norm")}
 
 
 def count_calls(targets: dict, run) -> dict:
-    """Run ``run()`` once with each ``module.name`` of ``targets`` counting its calls."""
-    counts = dict.fromkeys(targets, 0)
+    """Run ``run()`` once with each ``module.name`` of ``targets`` counting its calls,
+    and count its rounds: a round of a block makes one call of the norm-gradient
+    callback that ``multistart_ascent`` receives (the dual gradients call the
+    norm's gradient functions themselves, so those are not counted)."""
+    counts = {"rounds": 0, **dict.fromkeys(targets, 0)}
     originals = {key: getattr(module, name) for key, (module, name) in targets.items()}
+    ascents = {module: module.multistart_ascent for module in (schauder, classical)}
 
-    def counting(key):
+    def counting(key, original):
         def counted(*args, **kwargs):
             counts[key] += 1
-            return originals[key](*args, **kwargs)
+            return original(*args, **kwargs)
+
+        return counted
+
+    def counting_rounds(ascent):
+        def counted(mats, draw, norm_of, norm_gradient, *rest):
+            return ascent(mats, draw, norm_of, counting("rounds", norm_gradient), *rest)
 
         return counted
 
     for key, (module, name) in targets.items():
-        setattr(module, name, counting(key))
+        setattr(module, name, counting(key, originals[key]))
+    for module, ascent in ascents.items():
+        module.multistart_ascent = counting_rounds(ascent)
     try:
         run()
     finally:
         for key, (module, name) in targets.items():
             setattr(module, name, originals[key])
+        for module, ascent in ascents.items():
+            module.multistart_ascent = ascent
     return counts
 
 

@@ -115,24 +115,19 @@ def _weighted_vector_norm(v: np.ndarray, weights: np.ndarray, p: float):
 
 
 def _weighted_vector_gradient(v: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    """Gradient of _weighted_vector_norm along the last axis; zero for a zero vector.
+    """Gradient of _weighted_vector_norm along the last axis, for p < inf; zero for a zero vector.
 
-    At p = inf it is the phase of the first largest entry.
+    weights * (|v| / value)**(p-1) times the phase v / |v|, with max |v| factored
+    out of both: no negative power of |v|, so entries near 1e-310 stay finite.
     """
     mags = np.abs(v)
     top = mags.max(axis=-1, keepdims=True)
     live = top > 0.0
-    if math.isinf(p):
-        first = mags.argmax(axis=-1)[..., np.newaxis]
-        out = np.zeros_like(v)
-        np.put_along_axis(out, first, np.take_along_axis(v, first, -1) / np.where(live, top, 1.0), -1)
-        return out
-    # weights * |v|**(p-2) / value**(p-1), with max |v| factored out of both powers.
-    top = np.where(live, top, 1.0)
-    ratios = mags / top
+    ratios = mags / np.where(live, top, 1.0)
     rel_value = np.where(live, (ratios**p @ weights)[..., np.newaxis], 1.0) ** (1.0 / p)
-    scale = weights * np.where(mags > 0, ratios, 1.0) ** (p - 2.0) / (rel_value ** (p - 1.0) * top)
-    return np.where(live, scale * v, 0.0)
+    # The phase part by part: a complex division by a subnormal |v| overflows.
+    safe = np.where(mags > 0, mags, 1.0)
+    return weights * (ratios / rel_value) ** (p - 1.0) * (v.real / safe + 1j * (v.imag / safe))
 
 
 def step_lp_norm(f: StepFunction, p: float, alpha: float) -> float:
@@ -209,9 +204,9 @@ def classical_norm_estimates(ns, level: int, alpha: float, p: float, restarts: i
     At p = inf the weighted norm is max |v_k| and at p = 1 it is
     sum_k w_k |v_k|, so the operator norms are exact in closed form,
     max_i sum_j |P_ij| and max_j sum_i w_i |P_ij| / w_j, and come back
-    converged.  At any other p every cell climbs in
-    ``schauder.multistart_ascent``'s lockstep blocks, so each estimate is
-    the one the cell gets alone.
+    converged.  At any other p every cell climbs by the dual power iteration
+    of ``schauder.multistart_ascent``, in its lockstep blocks, so each
+    estimate is the one the cell gets alone.
     """
     if p < 1:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
@@ -221,6 +216,8 @@ def classical_norm_estimates(ns, level: int, alpha: float, p: float, restarts: i
     if p == 1:
         return [(float(((weights @ np.abs(classical_projection(n, level))) / weights).max()), True) for n in ns]
     dim = 1 << level
+    # The dual norm is ||v / scale||_q, 1/p + 1/q = 1 (as weights**(1 - q) it overflows as p -> 1).
+    scale, unit, q = weights ** (1.0 / p), np.ones(dim), p / (p - 1.0)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -230,6 +227,7 @@ def classical_norm_estimates(ns, level: int, alpha: float, p: float, restarts: i
         draw,
         lambda v: _weighted_vector_norm(v, weights, p),
         lambda v: _weighted_vector_gradient(v, weights, p),
+        lambda v: _weighted_vector_gradient(v / scale, unit, q) / scale,
         restarts,
         seeds,
     )

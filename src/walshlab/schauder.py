@@ -1,6 +1,6 @@
 """Partial-sum projections, residuals of the partial-sum decomposition
 identity, exact p=2 operator norms in the weighted geometry, a multi-start
-ascent estimator for general p, and sign-sweep experiments.
+power-iteration estimator for general p, and sign-sweep experiments.
 
 Identities whose derivation needs the bias mean of every non-trivial Walsh
 matrix to vanish hold exactly only in the tracial case alpha = 1/2; for other
@@ -34,6 +34,7 @@ from .states import (
     orthonormal_stack,
     state_diagonal,
     weight_scale,
+    weighted_lp_dual_gradient,
     weighted_lp_gradient,
 )
 from .walsh import (
@@ -304,19 +305,18 @@ def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormR
     return NormReport(value=compressed_top_value(T.matrix(), root, basis), method=EXACT2)
 
 
-def multistart_ascent(mats, draw, norm_of, norm_gradient, restarts: int, seeds) -> list[tuple[float, bool]]:
-    """Best ratio ||mat @ x|| / ||x|| of each cell's matrix, by multi-start normalized ascent on flat vectors.
+def multistart_ascent(mats, draw, norm_of, norm_gradient, dual_gradient, restarts: int, seeds) -> list[tuple[float, bool]]:
+    """Best ratio ||mat @ x|| / ||x|| of each cell's matrix, by multi-start dual power iteration on flat vectors.
 
     Cell c climbs on the c-th matrix of ``mats`` (an iterable of (N, N)
     matrices, such as a (C, N, N) stack or a generator) from seed
     ``seeds[c]``.  Its restart r climbs from ``draw(task_rng(seeds[c], r))``
-    (a draw of norm 0 is skipped) along the normalized gradient of the ratio
-    at ||x|| = 1, ``mat* norm_gradient(mat @ x) - value * norm_gradient(x)``
-    (the numerator gradient minus its component along the constraint), with
-    0.5-backtracking, and stops once five consecutive iterations improve by
-    less than ``ASCENT_TOL`` relative, or after ``MAX_ASCENT_ITER`` iterations.
-    ``norm_of`` and ``norm_gradient`` act on a (k, N) block of row vectors,
-    one value or gradient per row, whatever cell a row belongs to.
+    (a draw of norm 0 is skipped) in ``_climb_block`` rounds, and stops once
+    five consecutive rounds improve by less than ``ASCENT_TOL`` relative, or
+    after ``MAX_ASCENT_ITER`` rounds.  ``norm_of``, ``norm_gradient`` and
+    ``dual_gradient`` (the gradient of the dual norm, of norm 1 or 0 at a
+    zero row) act on a (k, N) block of row vectors, one value or gradient
+    per row, whatever cell a row belongs to.
 
     The restarts of consecutive cells climb in lockstep as the rows of one
     block, each on its own path.  A block holds at most ``ASCENT_BLOCK`` rows
@@ -324,8 +324,8 @@ def multistart_ascent(mats, draw, norm_of, norm_gradient, restarts: int, seeds) 
     unless they are more than ``ASCENT_BLOCK``.  ``mats`` is read one matrix
     at a time, as blocks fill, so a generator keeps only one block's
     matrices alive.  Returns one (best value, whether the first restart
-    reaching it converged) per cell; the best value is always a valid lower
-    bound of the operator norm, and (0.0, False) when every draw was zero.
+    reaching it converged) per cell; the best value is a lower bound of the
+    operator norm (to rounding), and (0.0, False) when every draw was zero.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
@@ -342,7 +342,7 @@ def multistart_ascent(mats, draw, norm_of, norm_gradient, restarts: int, seeds) 
         nx = norm_of(xs)
         live = nx != 0.0
         values, converged = _climb_block(
-            mats_in_block, cells[live], xs[live] / nx[live, np.newaxis], norm_of, norm_gradient
+            mats_in_block, cells[live], xs[live] / nx[live, np.newaxis], norm_of, norm_gradient, dual_gradient
         )
         for local, value, conv in zip(cells[live], values, converged):
             cell = block[local][0]
@@ -385,49 +385,34 @@ def _block_product(mats, cells, xs, adjoint: bool = False) -> np.ndarray:
     return np.conj(out, out=out) if adjoint else out
 
 
-def _climb_block(mats, cells, xs, norm_of, norm_gradient):
-    """Climb the unit rows of ``xs``, row i on ``mats[cells[i]]``, together.
+def _climb_block(mats, cells, xs, norm_of, norm_gradient, dual_gradient):
+    """Climb the unit rows of ``xs``, row i on ``mats[cells[i]]``, together; returns
+    their final values and convergence flags.
 
-    Returns their final values and convergence flags.  Every round takes one
-    gradient of each climbing row, then backtracks all of them at once: a
-    row halves its own trial step until it improves or the step falls to
-    1e-12.  A row that stops leaves later rounds, and a row that found its
-    step leaves the rest of the round's products.
+    A round of the dual power iteration (D. W. Boyd, Linear Algebra Appl. 9,
+    1974; N. J. Higham, Numer. Math. 62, 1992) moves a row x with image
+    a = T x to x' = dual_gradient(T* y), y = norm_gradient(a), if that raises
+    its value.  By duality N(T x') >= <T x', y> = N*(T* y) >= <x, T* y> = N(T x),
+    so no step is searched.  A round takes one adjoint and one forward product
+    per cell; only images are kept, and a row that stops leaves later rounds.
     """
-    values = norm_of(_block_product(mats, cells, xs))
+    images = _block_product(mats, cells, xs)
+    values = norm_of(images)
     converged = np.zeros(len(xs), dtype=bool)
-    step = np.ones(len(xs))
     quiet = np.zeros(len(xs), dtype=int)
     active = np.arange(len(xs))
     for _ in range(MAX_ASCENT_ITER):
         if active.size == 0:
             break
-        x, value, c, k = xs[active], values[active], cells[active], len(active)
-        grads = norm_gradient(np.concatenate([_block_product(mats, c, x), x]))
-        g = _block_product(mats, c, grads[:k], adjoint=True) - value[:, np.newaxis] * grads[k:]
-        gn = np.linalg.norm(g, axis=1)
-        flat = gn < 1e-300
-        g /= np.where(flat, 1.0, gn)[:, np.newaxis]
-        rel = np.zeros(k)
-        trial = step[active]
-        searching = np.flatnonzero(~flat)
-        while searching.size:
-            cand = x[searching] + trial[searching, np.newaxis] * g[searching]
-            cn = norm_of(cand)
-            cand /= np.where(cn > 0, cn, 1.0)[:, np.newaxis]
-            cv = norm_of(_block_product(mats, c[searching], cand))
-            up = (cn > 0) & (cv > value[searching])
-            rows = searching[up]
-            rel[rows] = (cv[up] - value[rows]) / np.maximum(value[rows], 1e-300)
-            x[rows], value[rows] = cand[up], cv[up]
-            searching = searching[~up]
-            trial[searching] *= 0.5
-            searching = searching[trial[searching] > 1e-12]
-        xs[active], values[active] = x, value
-        # A row that improved doubles its step; one whose search ran out starts again from 1.
-        step[active] = np.where(trial > 1e-12, np.minimum(trial * 2.0, 1.0), 1.0)
+        c, value = cells[active], values[active]
+        cand = dual_gradient(_block_product(mats, c, norm_gradient(images[active]), adjoint=True))
+        cand_images = _block_product(mats, c, cand)
+        cv = norm_of(cand_images)
+        up = cv > value
+        images[active[up]], values[active[up]] = cand_images[up], cv[up]
+        rel = np.where(up, cv - value, 0.0) / np.maximum(value, 1e-300)
         quiet[active] = np.where(rel < ASCENT_TOL, quiet[active] + 1, 0)
-        done = flat | (quiet[active] >= 5)
+        done = quiet[active] >= 5
         converged[active[done]] = True
         active = active[~done]
     return values, converged
@@ -439,8 +424,8 @@ def estimate_norm_lp(
     restarts: int = 32,
     seed: int = 0,
 ) -> NormReport:
-    """Lower-bound estimate of the weighted p-norm of T by ``multistart_ascent``
-    on its materialized matrix, from seeded Gaussian matrices."""
+    """Lower-bound estimate of the weighted p-norm of T by the dual power iteration
+    of ``multistart_ascent`` on its materialized matrix, from seeded Gaussian matrices."""
     return estimate_norms_lp([T], ctx, restarts, [seed])[0]
 
 
@@ -458,12 +443,12 @@ def estimate_norms_lp(handles, ctx: LpContext, restarts: int, seeds) -> list[Nor
     def norm_of(v: np.ndarray) -> np.ndarray:
         return batched_weighted_lp_norm(v.reshape(-1, d, d), weights, p, side)
 
-    def norm_gradient(v: np.ndarray) -> np.ndarray:
-        return weighted_lp_gradient(v.reshape(-1, d, d), weights, p, side).reshape(v.shape)
+    def on_rows(gradient):
+        return lambda v: gradient(v.reshape(-1, d, d), weights, p, side).reshape(v.shape)
 
     best = multistart_ascent(
         (T.matrix() for T in handles), lambda rng: gaussian_matrix(d, rng).ravel(), norm_of,
-        norm_gradient, restarts, seeds,
+        on_rows(weighted_lp_gradient), on_rows(weighted_lp_dual_gradient), restarts, seeds,
     )
     return [
         NormReport(value=value, method=ESTIMATE, restarts=restarts, converged=converged, seed=seed)
@@ -547,8 +532,9 @@ def unconditionality_constant(
     ``trials`` refines the probe set monotonically.  Sampled patterns are
     reduced to their distinct rows before any norm: the ratio is a max over
     patterns, and sampled mode reports no per-pattern maxima.  The probes
-    are taken in runs and the patterns in blocks, so no stack built from the
-    probes outgrows ``SIGN_BLOCK_BYTES`` (unless one probe's differences do).
+    are taken in runs, their own norms and the filter too, and the patterns
+    in blocks, so no stack built from the probes outgrows
+    ``SIGN_BLOCK_BYTES`` (unless one probe's differences do).
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -582,17 +568,20 @@ def unconditionality_constant(
     )
 
     weights = state_diagonal(spec)
-    base_norms = batched_weighted_lp_norm(xs, weights, ctx.p, ctx.side)
-    keep = base_norms > 1e-12
-    xs, base_norms = xs[keep], base_norms[keep]
-
     matrix_bytes = d * d * xs.itemsize
     run = max(1, SIGN_BLOCK_BYTES // (steps * matrix_bytes))
     row_max = np.zeros(patterns.shape[0])
+    kept = 0
     for first in range(0, xs.shape[0], run):
-        probes = slice(first, first + run)
+        probes = xs[first : first + run]
+        base_norms = batched_weighted_lp_norm(probes, weights, ctx.p, ctx.side)
+        keep = base_norms > 1e-12
+        probes, base_norms = probes[keep], base_norms[keep]
+        kept += len(probes)
+        if not len(probes):
+            continue
         # D_s = E_s - E_{s-1}, one kernel call per step on the run.
-        mean_part, diff_parts = filtration_differences(xs[probes], -1, steps - 1, spec)
+        mean_part, diff_parts = filtration_differences(probes, -1, steps - 1, spec)
         chunk = max(1, SIGN_BLOCK_BYTES // (mean_part.shape[0] * matrix_bytes))
         for start in range(0, patterns.shape[0], chunk):
             rows = slice(start, start + chunk)
@@ -600,7 +589,7 @@ def unconditionality_constant(
             norms = batched_weighted_lp_norm(
                 combined.reshape(-1, d, d), weights, ctx.p, ctx.side
             ).reshape(combined.shape[0], -1)
-            row_max[rows] = np.maximum(row_max[rows], (norms / base_norms[probes]).max(axis=1))
+            row_max[rows] = np.maximum(row_max[rows], (norms / base_norms).max(axis=1))
     pattern_maxima: dict | None = None
     if mode == "exhaustive":
         pattern_maxima = {
@@ -616,6 +605,6 @@ def unconditionality_constant(
         seed=seed,
         max_ratio=max_ratio,
         patterns=patterns.shape[0],
-        probes=xs.shape[0],
+        probes=kept,
         pattern_maxima=pattern_maxima,
     )

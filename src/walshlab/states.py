@@ -182,6 +182,18 @@ def weighted_lp_gradient(x, weights: np.ndarray, p: float, side: str = LEFT) -> 
     return np.where(live[..., np.newaxis], grad, 0.0) * scale
 
 
+def weighted_lp_dual_gradient(y, weights: np.ndarray, p: float, side: str = LEFT) -> np.ndarray:
+    """Euclidean gradient of the dual norm of weighted_lp_norm, matrix by matrix.
+
+    Under Re Tr(x* y) the dual of ||x S||_p (S the ``weight_scale`` factor) is
+    ||y / S||_q, 1/p + 1/q = 1, so this is the unit-weight gradient at q of
+    y / S, divided by S: of weighted p-norm 1 (0 for a zero matrix), paired
+    with y to its dual norm."""
+    scale = weight_scale(weights, p, side)
+    q = math.inf if p == 1 else 1.0 if math.isinf(p) else p / (p - 1.0)
+    return weighted_lp_gradient(as_stack(y) / scale, np.ones(np.shape(weights)), q, side) / scale
+
+
 def orthonormal_kernel(bias: float, side: str = LEFT) -> np.ndarray:
     """Synthesis kernel of one factor's generators, orthonormalized under diag(b, 1-b).
 

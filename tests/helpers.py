@@ -58,62 +58,42 @@ def factor_map_oracle(x: np.ndarray, maps: dict, m: int) -> np.ndarray:
     return t.reshape(1 << m, 1 << m)
 
 
-def sequential_ascent(mats, draw, norm_of, norm_gradient, restarts, seeds):
+def sequential_ascent(mats, draw, norm_of, norm_gradient, dual_gradient, restarts, seeds):
     """Ascent oracle: ``schauder.multistart_ascent`` climbing one cell and one restart at a time.
 
     Takes the same matrices, row-block callbacks and seeds and returns the
     same (best, converged) per cell; every restart of every cell runs its own
-    loop on one vector.
+    dual power iteration on one vector.
     """
     return [
-        _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed)
+        _sequential_cell(mat, draw, norm_of, norm_gradient, dual_gradient, restarts, seed)
         for mat, seed in zip(mats, seeds)
     ]
 
 
-def _sequential_cell(mat, draw, norm_of, norm_gradient, restarts, seed):
-    def norm(v):
-        return float(norm_of(v[np.newaxis])[0])
-
-    def gradient(v):
-        return norm_gradient(v[np.newaxis])[0]
+def _sequential_cell(mat, draw, norm_of, norm_gradient, dual_gradient, restarts, seed):
+    def one(fn, v):
+        return fn(v[np.newaxis])[0]
 
     adj = mat.conj().T
     best = 0.0
     best_converged = False
     for r in range(restarts):
         x = draw(task_rng(seed, r))
-        nx = norm(x)
+        nx = float(one(norm_of, x))
         if nx == 0.0:
             continue
         x = x / nx
-        value = norm(mat @ x)
+        value = float(one(norm_of, mat @ x))
         converged = False
-        step = 1.0
         quiet = 0
         for _ in range(MAX_ASCENT_ITER):
-            g = adj @ gradient(mat @ x) - value * gradient(x)
-            gn = np.linalg.norm(g)
-            if gn < 1e-300:
-                converged = True
-                break
-            g = g / gn
+            cand = one(dual_gradient, adj @ one(norm_gradient, mat @ x))
+            cv = float(one(norm_of, mat @ cand))
             rel = 0.0
-            trial = step
-            while trial > 1e-12:
-                cand = x + trial * g
-                cn = norm(cand)
-                if cn > 0:
-                    cand = cand / cn
-                    cv = norm(mat @ cand)
-                    if cv > value:
-                        rel = (cv - value) / max(value, 1e-300)
-                        x, value = cand, cv
-                        step = min(trial * 2.0, 1.0)
-                        break
-                trial *= 0.5
-            else:
-                step = 1.0
+            if cv > value:
+                rel = (cv - value) / max(value, 1e-300)
+                x, value = cand, cv
             quiet = quiet + 1 if rel < ASCENT_TOL else 0
             if quiet >= 5:
                 converged = True

@@ -197,6 +197,49 @@ def test_classical_lockstep_sweep_matches_sequential_oracle(monkeypatch):
             assert converged == oracle_converged, (level, p, n)
 
 
+@pytest.mark.parametrize("q", [1.001, 1.5])
+def test_vector_gradient_stays_finite_on_subnormal_entries(q):
+    # The gradient's |v|**(q-1) term must not be formed as |v|**(q-2) * v, which
+    # overflows on entries near 1e-310 when q < 2.
+    w = dyadic_weights(3, 0.3)
+    v = np.array([1.0, -0.5j, 1e-300, 1e-308, 1e-310, -1e-310j, 0.0, 2e-310 + 1e-310j])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        grad = classical._weighted_vector_gradient(v, w, q)
+    assert np.all(np.isfinite(grad))
+    norm = classical._weighted_vector_norm(v, w, q)
+    assert abs(np.vdot(v, grad).real - norm) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("p", [1.001, 1.5, 3.0, 1000.0])
+def test_estimator_dual_gradient_is_the_dual_map(p, monkeypatch):
+    # The dual of (sum w |v|**p)**(1/p) is ||z / s||_q with s = w**(1/p), 1/p + 1/q = 1:
+    # the dual gradient the estimator climbs with has norm 1 and pairs with z to that dual norm.
+    level = 4
+    callbacks = {}
+
+    def capture(mats, draw, norm_of, norm_gradient, dual_gradient, restarts, seeds):
+        callbacks.update(norm_of=norm_of, dual_gradient=dual_gradient)
+        return [(0.0, False)] * len(seeds)
+
+    monkeypatch.setattr(classical, "multistart_ascent", capture)
+    classical_norm_estimates([0], level, 0.3, p, 1, [0])
+    w = dyadic_weights(level, 0.3)
+    rng = task_rng(17)
+    zs = rng.standard_normal((4, 1 << level)) + 1j * rng.standard_normal((4, 1 << level))
+    duals = callbacks["dual_gradient"](zs)
+    assert np.allclose(callbacks["norm_of"](duals), 1.0, rtol=0.0, atol=1e-12)
+    for z, dual in zip(zs, duals):
+        dual_norm = classical._weighted_vector_norm(z / w ** (1 / p), np.ones_like(w), p / (p - 1))
+        assert abs(np.vdot(z, dual).real - dual_norm) <= 1e-12 * dual_norm, p
+
+
+def test_level8_cells_converge_at_p4():
+    # Cells that take the iteration many rounds at L = 8; each must stop within the cap.
+    for n in (112, 144, 160, 176, 208):
+        value, converged = classical_norm_estimate(n, 8, 0.3, 4.0, restarts=8, seed=n)
+        assert converged and value > 1, n
+
+
 def test_classical_estimate_below_closed_form_at_p1_and_inf():
     # Weighted l^inf operator norm: max_i sum_j |P_ij|; weighted l^1: max_j sum_i w_i |P_ij| / w_j.
     level, alpha = 4, 0.3

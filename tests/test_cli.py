@@ -384,14 +384,30 @@ def test_unconditionality_refuses_oversized_difference_stack(tmp_path, capsys, m
 def test_estimates_stay_finite_at_large_p(tmp_path, capsys, argv, column):
     # Every projection here keeps the identity, so its norm is at least 1; a
     # power sum that underflows reports 0.  The bound leaves room for the
-    # ascent, which stalls up to ~1e-3 short of the norm at p = 1000 with
-    # few restarts.
+    # iteration's tolerance only.
     out_path = tmp_path / "large_p.csv"
     code, _, _ = run(capsys, *argv.split(), "--restarts", "4", "--seed", "0", "--out", str(out_path))
     assert code == 0
     for line in out_path.read_text().splitlines()[1:]:
         value = float(line.split(",")[column])
-        assert np.isfinite(value) and value >= 1 - 1e-2, line
+        assert np.isfinite(value) and value >= 1 - 1e-4, line
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        ("basis-constants --level 2 --alpha 0.3 --p inf --method estimate --restarts 4 --nmax 15 --seed 4", 5),
+        ("tensor-sweep --level 1 --level2 1 --alpha 0.3 --alpha2 0.1 --p inf --nmax 15 --restarts 4 --seed 4", 6),
+    ],
+)
+def test_p_inf_estimates_reach_one(tmp_path, capsys, argv, column):
+    # Every projection here keeps the identity, so its norm is at least 1.
+    out_path = tmp_path / "inf.csv"
+    assert run(capsys, *argv.split(), "--out", str(out_path))[0] == 0
+    lines = out_path.read_text().splitlines()[1:]
+    assert len(lines) == 16
+    for line in lines:
+        assert float(line.split(",")[column]) >= 1 - 1e-12, line
 
 
 def _csv_values(path, column):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_exact_norm_p2, matrix_units, probe_matrix, random_matrix, sequential_ascent
 from walshlab import schauder
+from walshlab.classical import classical_norm_estimate, diag_index_map
 from walshlab.linalg import gaussian_matrix, task_rng
 from walshlab.states import (
     LpContext,
@@ -17,6 +18,7 @@ from walshlab.states import (
     mart_diff,
     rho_value,
     state_diagonal,
+    weighted_lp_dual_gradient,
     weighted_lp_gradient,
 )
 from walshlab.schauder import (
@@ -382,6 +384,59 @@ def test_p0_attains_its_hoelder_value(p):
         assert abs(lp_norm(partial_sum(x, 0, 0.1), ctx) / lp_norm(x, ctx) - 12.6543209876543) <= 1e-12
 
 
+def test_estimator_reaches_p0_hoelder_value():
+    # The Hoelder value of test_p0_attains_its_hoelder_value at alpha = 0.1,
+    # p = 1.5, m = 3, which a local stall would miss by about half.
+    rep = estimate_norm_lp(partial_sum_handle(0, 3, 0.1), LpContext(1.5, StateSpec(0.1, 3)), restarts=4, seed=0)
+    assert abs(rep.value - 12.6543209876543) <= 1e-6 * 12.6543209876543
+    assert rep.converged
+
+
+def _diagonal_floor_index(n: int) -> int:
+    """j*(n): the largest j with diag_index_map(j) <= n.  P_n acts on diagonal
+    matrices as the classical projection onto Walsh functions 0..j*(n)."""
+    j = 0
+    while diag_index_map(j + 1) <= n:
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_estimates_reach_the_exact_diagonal_floor_at_p1_and_inf(m):
+    # On diagonals the weighted matrix norm is the weighted function norm, so
+    # ||P_n||_p is at least the classical norm at j*(n), exact at p = 1 and inf.
+    for alpha in (0.3, 0.1):
+        for p in (1.0, np.inf):
+            rows = basis_constant_sweep(LpContext(p, StateSpec(alpha, m)), 4**m - 1, ESTIMATE, restarts=4, seed=0)
+            for row in rows:
+                floor, _ = classical_norm_estimate(_diagonal_floor_index(row.n), m, alpha, p)
+                assert row.value >= floor * (1 - 1e-6), (alpha, p, row.n, row.value, floor)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_climbing_values_never_decrease(p, side, monkeypatch):
+    # One restart climbs alone: after the draw's own norm every norm call is
+    # its value of one round, and by duality no round falls below the last.
+    spec = StateSpec(0.3, 2)
+    calls = []
+    norm = schauder.batched_weighted_lp_norm
+
+    def recording(*args):
+        out = norm(*args)
+        calls.append(out.copy())  # the block updates its values in place
+        return out
+
+    monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
+    for handle in (partial_sum_handle(5, 2, 0.3), decomposition_handle(6, spec), partial_sum_handle(0, 2, 0.3)):
+        for seed in range(3):
+            calls.clear()
+            rep = estimate_norm_lp(handle, LpContext(p, spec, side), restarts=1, seed=seed)
+            values = np.concatenate(calls[1:])
+            assert len(values) > 5 and values[-1] <= rep.value
+            assert np.all(values[1:] >= np.maximum.accumulate(values)[:-1] * (1 - 1e-12)), (handle.label, seed)
+
+
 def test_estimator_matches_exact_at_p2():
     spec = StateSpec(0.3, 1)
     ctx = LpContext(2.0, spec)
@@ -477,7 +532,7 @@ def _ascent_callbacks(spec: StateSpec, p: float):
     """Block callbacks of the weighted p-norm that record how many rows each call gets."""
     weights = state_diagonal(spec)
     d = spec.dim
-    rows = {"norm": [], "gradient": []}
+    rows = {"norm": [], "gradient": [], "dual": []}
 
     def norm_of(v):
         rows["norm"].append(len(v))
@@ -487,18 +542,23 @@ def _ascent_callbacks(spec: StateSpec, p: float):
         rows["gradient"].append(len(v))
         return weighted_lp_gradient(v.reshape(-1, d, d), weights, p).reshape(v.shape)
 
-    return norm_of, norm_gradient, rows
+    def dual_gradient(v):
+        rows["dual"].append(len(v))
+        return weighted_lp_dual_gradient(v.reshape(-1, d, d), weights, p).reshape(v.shape)
+
+    return norm_of, norm_gradient, dual_gradient, rows
 
 
 def test_ascent_climbs_at_most_one_block_of_restarts():
     spec = StateSpec(0.3, 1)
     mat = partial_sum_handle(1, 1, 0.3).matrix()
-    norm_of, norm_gradient, rows = _ascent_callbacks(spec, 3.0)
-    args = ([mat], lambda rng: gaussian_matrix(2, rng).ravel(), norm_of, norm_gradient, 2 * ASCENT_BLOCK + 1)
+    norm_of, norm_gradient, dual_gradient, rows = _ascent_callbacks(spec, 3.0)
+    args = ([mat], lambda rng: gaussian_matrix(2, rng).ravel(), norm_of, norm_gradient, dual_gradient,
+            2 * ASCENT_BLOCK + 1)
     [(value, converged)] = multistart_ascent(*args, seeds=[3])
     assert max(rows["norm"]) == ASCENT_BLOCK
-    # One gradient call takes the images and the points of a block together.
-    assert max(rows["gradient"]) == 2 * ASCENT_BLOCK
+    # One gradient call and one dual-gradient call per round take the whole block.
+    assert max(rows["gradient"]) == max(rows["dual"]) == ASCENT_BLOCK
     [(oracle_value, oracle_converged)] = sequential_ascent(*args, seeds=[3])
     assert abs(value - oracle_value) <= 1e-12 * oracle_value and converged == oracle_converged
 
@@ -506,18 +566,20 @@ def test_ascent_climbs_at_most_one_block_of_restarts():
 def test_ascent_skips_zero_draws():
     spec = StateSpec(0.3, 1)
     mat = partial_sum_handle(2, 1, 0.3).matrix()
-    norm_of, norm_gradient, _ = _ascent_callbacks(spec, 3.0)
+    norm_of, norm_gradient, dual_gradient, _ = _ascent_callbacks(spec, 3.0)
 
     def some_zero(rng):
         x = gaussian_matrix(2, rng).ravel()
         return x if x[0].real > 0 else np.zeros_like(x)
 
-    args = ([mat], some_zero, norm_of, norm_gradient, 12)
+    args = ([mat], some_zero, norm_of, norm_gradient, dual_gradient, 12)
     [(value, converged)] = multistart_ascent(*args, seeds=[1])
     [(oracle_value, oracle_converged)] = sequential_ascent(*args, seeds=[1])
     assert value > 1.0
     assert abs(value - oracle_value) <= 1e-12 * oracle_value and converged == oracle_converged
-    zero = multistart_ascent([mat], lambda rng: np.zeros(4, complex), norm_of, norm_gradient, 5, seeds=[1])
+    zero = multistart_ascent(
+        [mat], lambda rng: np.zeros(4, complex), norm_of, norm_gradient, dual_gradient, 5, seeds=[1]
+    )
     assert zero == [(0.0, False)]
 
 
@@ -713,10 +775,9 @@ def test_unconditionality_splits_probes_when_one_pattern_outgrows_the_budget(mod
     monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", budget)
     monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
     split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
-    blocks = stacks[1:]  # the first call takes the probes' own norms
     patterns = 16 if mode == "exhaustive" else 20
-    assert len(blocks) > patterns  # every pattern took several probe runs
-    assert max(blocks) <= budget
+    assert len(stacks) > patterns  # every pattern took several probe runs
+    assert max(stacks) <= budget  # the probes' own norms too, run by run
     assert split.max_ratio == whole.max_ratio
     assert split.pattern_maxima == whole.pattern_maxima
 
@@ -742,11 +803,11 @@ def test_unconditionality_keeps_every_stack_within_the_budget(mode, trials, monk
     monkeypatch.setattr(schauder, "filtration_differences", recording_filtration)
     monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording_norm)
     split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
-    blocks = norm_inputs[1:]  # the first call takes the probes' own norms
     assert len(differences) > 1  # several probe runs
-    assert len(blocks) > len(differences)  # several pattern blocks per run
+    # Each run takes its probes' own norms, then several pattern blocks.
+    assert len(norm_inputs) > 2 * len(differences)
     assert max(arr.nbytes for pair in differences for arr in pair) <= budget
-    assert max(blocks) <= budget
+    assert max(norm_inputs) <= budget
     assert split.max_ratio == whole.max_ratio
     assert split.pattern_maxima == whole.pattern_maxima
 

@@ -19,6 +19,8 @@ from walshlab.states import (
     rho_value,
     state_density,
     state_diagonal,
+    weight_scale,
+    weighted_lp_dual_gradient,
     weighted_lp_gradient,
     weighted_lp_norm,
 )
@@ -329,6 +331,22 @@ def test_weighted_lp_gradient_matches_finite_differences(p, side):
             fd = (weighted_lp_norm(x + h * direction, w, p, side)
                   - weighted_lp_norm(x - h * direction, w, p, side)) / (2 * h)
             assert abs(np.sum(grad.conj() * direction).real - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_weighted_lp_dual_gradient_is_the_dual_map(p, side):
+    # The dual of ||x S||_p under Re Tr(x* z) is ||z / S||_q, 1/p + 1/q = 1 (S the
+    # weight scale): J*(z) has weighted p-norm 1 and pairs with z to that dual norm.
+    w = state_diagonal(StateSpec(0.3, 2))
+    q = np.inf if p == 1 else 1.0 if np.isinf(p) else p / (p - 1)
+    zs = np.stack([random_matrix(2, 80 + k) for k in range(4)] + [np.zeros((4, 4))])
+    duals = weighted_lp_dual_gradient(zs, w, p, side)
+    for z, dual in zip(zs[:-1], duals):
+        dual_norm = float(schatten_norm(z / weight_scale(w, p, side), q))
+        assert abs(weighted_lp_norm(dual, w, p, side) - 1) <= 1e-12, (p, side)
+        assert abs(np.vdot(z, dual).real - dual_norm) <= 1e-12 * dual_norm, (p, side)
+    assert not np.any(duals[-1])
 
 
 def _weighted_gram(stack, spec, side):
