@@ -18,16 +18,9 @@ is built and materialized outside the timed call, so those times cover the
 ascent only; a sweep's times include building its operators.
 """
 
-import argparse
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 
-import numpy as np
-
+from levelbench import main, patched, time_case
 from walshlab import classical, schauder
 from walshlab.classical import classical_norm_estimate, classical_norm_estimates
 from walshlab.schauder import ESTIMATE, basis_constant_sweep, estimate_norm_lp, partial_sum_handle
@@ -36,124 +29,85 @@ from walshlab.states import LpContext, StateSpec
 RESTARTS = 8
 SWEEP_RESTARTS = 4
 ALPHA = 0.3
-# The norm each estimator's iteration calls, by module.
-MATRIX_CALLS = {"norm_calls": (schauder, "batched_weighted_lp_norm")}
-VECTOR_CALLS = {"norm_calls": (classical, "_weighted_vector_norm")}
+# The norm each estimator's iteration calls.
+MATRIX_NORM = (schauder, "batched_weighted_lp_norm")
+VECTOR_NORM = (classical, "_weighted_vector_norm")
 
 
-def count_calls(targets: dict, run) -> dict:
-    """Run ``run()`` once with each ``module.name`` of ``targets`` counting its calls,
+def count_calls(norm: tuple, run) -> dict:
+    """Run ``run()`` once with the ``(module, name)`` norm counting its calls,
     and count its rounds: a round of a block makes one call of the norm-gradient
     callback that ``multistart_ascent`` receives (the dual gradients call the
     norm's gradient functions themselves, so those are not counted)."""
-    counts = {"rounds": 0, **dict.fromkeys(targets, 0)}
-    originals = {key: getattr(module, name) for key, (module, name) in targets.items()}
-    ascents = {module: module.multistart_ascent for module in (schauder, classical)}
+    counts = {"rounds": 0, "norm_calls": 0}
 
-    def counting(key, original):
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
+    def counting(key):
+        def wrap(fn):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
 
-        return counted
+            return counted
+
+        return wrap
 
     def counting_rounds(ascent):
         def counted(mats, draw, norm_of, norm_gradient, *rest):
-            return ascent(mats, draw, norm_of, counting("rounds", norm_gradient), *rest)
+            return ascent(mats, draw, norm_of, counting("rounds")(norm_gradient), *rest)
 
         return counted
 
-    for key, (module, name) in targets.items():
-        setattr(module, name, counting(key, originals[key]))
-    for module, ascent in ascents.items():
-        module.multistart_ascent = counting_rounds(ascent)
-    try:
+    with patched([
+        (*norm, counting("norm_calls")),
+        (schauder, "multistart_ascent", counting_rounds),
+        (classical, "multistart_ascent", counting_rounds),
+    ]):
         run()
-    finally:
-        for key, (module, name) in targets.items():
-            setattr(module, name, originals[key])
-        for module, ascent in ascents.items():
-            module.multistart_ascent = ascent
     return counts
 
 
-def time_case(run, runs: int) -> dict:
-    run()  # warm-up
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        value = run()
-        times.append(time.perf_counter() - start)
-    return {"min_s": min(times), "median_s": statistics.median(times), "value": value}
+def case(keys: dict, run, norm: tuple, runs: int) -> dict:
+    times, value = time_case(run, runs)
+    return {**keys, **times, "value": value, **count_calls(norm, run)}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_ascent.json")
-    args = ap.parse_args()
-
-    cases = []
-
-    def record(case: dict, run, calls: dict) -> None:
-        case.update(time_case(run, args.runs))
-        case.update(count_calls(calls, run))
-        cases.append(case)
-        print(json.dumps(case), flush=True)
-
+def cases(runs: int):
     for m in range(1, 5):
         n = 4**m // 3
         handle = partial_sum_handle(n, m, ALPHA)
         handle.matrix()
         ctx = LpContext(3.0, StateSpec(ALPHA, m))
-
-        def run(handle=handle, ctx=ctx):
-            return estimate_norm_lp(handle, ctx, restarts=RESTARTS, seed=0).value
-
-        case = {"estimator": "estimate_norm_lp", "m": m, "n": n, "p": 3.0, "restarts": RESTARTS}
-        record(case, run, MATRIX_CALLS)
+        yield case(
+            {"estimator": "estimate_norm_lp", "m": m, "n": n, "p": 3.0, "restarts": RESTARTS},
+            lambda: estimate_norm_lp(handle, ctx, restarts=RESTARTS, seed=0).value,
+            MATRIX_NORM, runs,
+        )
     for level in range(2, 9):
         n = (1 << level) // 3
-
-        def run(n=n, level=level):
-            return classical_norm_estimate(n, level, ALPHA, 4.0, restarts=RESTARTS, seed=0)[0]
-
-        case = {"estimator": "classical_norm_estimate", "level": level, "n": n, "p": 4.0, "restarts": RESTARTS}
-        record(case, run, VECTOR_CALLS)
+        yield case(
+            {"estimator": "classical_norm_estimate", "level": level, "n": n, "p": 4.0, "restarts": RESTARTS},
+            lambda: classical_norm_estimate(n, level, ALPHA, 4.0, restarts=RESTARTS, seed=0)[0],
+            VECTOR_NORM, runs,
+        )
     for m in range(1, 4):
         ctx = LpContext(3.0, StateSpec(ALPHA, m))
 
-        def run(ctx=ctx, m=m):
+        def run():
             rows = basis_constant_sweep(ctx, 4**m - 1, ESTIMATE, restarts=SWEEP_RESTARTS, seed=0)
             return max(max(row.value, row.decomp_value) for row in rows)
 
-        case = {"estimator": "basis_constant_sweep", "m": m, "nmax": 4**m - 1, "p": 3.0,
-                "restarts": SWEEP_RESTARTS}
-        record(case, run, MATRIX_CALLS)
+        yield case(
+            {"estimator": "basis_constant_sweep", "m": m, "nmax": 4**m - 1, "p": 3.0, "restarts": SWEEP_RESTARTS},
+            run, MATRIX_NORM, runs,
+        )
     for level in range(4, 9):
         ns = range(12)
-
-        def run(level=level, ns=ns):
-            return max(value for value, _ in classical_norm_estimates(ns, level, ALPHA, 4.0, RESTARTS, list(ns)))
-
-        case = {"estimator": "classical_norm_estimates", "level": level, "nmax": 11, "p": 4.0,
-                "restarts": RESTARTS}
-        record(case, run, VECTOR_CALLS)
-
-    environment = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": len(os.sched_getaffinity(0)),
-        "runs": args.runs,
-        "ascent_block": schauder.ASCENT_BLOCK,
-    }
-    with open(args.out, "w") as fh:
-        json.dump({"environment": environment, "cases": cases}, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(cases)} cases to {args.out}")
-    return 0
+        yield case(
+            {"estimator": "classical_norm_estimates", "level": level, "nmax": 11, "p": 4.0, "restarts": RESTARTS},
+            lambda: max(value for value, _ in classical_norm_estimates(ns, level, ALPHA, 4.0, RESTARTS, list(ns))),
+            VECTOR_NORM, runs,
+        )
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, "BENCH_ascent.json", cases, ascent_block=schauder.ASCENT_BLOCK))

@@ -11,65 +11,29 @@ runs once untimed as a warm-up, then ``--runs`` times; the record holds the
 minimum and median seconds.
 """
 
-import argparse
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 
 import numpy as np
 
+from levelbench import main, time_case
 from walshlab.linalg import schatten_norm
 from walshlab.schauder import SIGN_BLOCK_BYTES
 
 PS = (1.5, 3.0, 4.0, np.inf)
 
 
-def time_case(run, runs: int) -> dict:
-    run()  # warm-up
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return {"min_s": min(times), "median_s": statistics.median(times)}
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_schatten.json")
-    args = ap.parse_args()
-
+def cases(runs: int):
     rng = np.random.default_rng(0)
-    cases = []
     for m in range(1, 9):
         d = 1 << m
         count = SIGN_BLOCK_BYTES // (d * d * np.dtype(np.complex128).itemsize)
         xs = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
         for p in PS:
-            record = {"m": m, "p": "inf" if np.isinf(p) else p, "matrices": count,
-                      "engine": "svd" if p < 2 else "gram"}
-            record.update(time_case(lambda: schatten_norm(xs, p), args.runs))
-            cases.append(record)
-            print(json.dumps(record), flush=True)
-
-    environment = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": len(os.sched_getaffinity(0)),
-        "runs": args.runs,
-        "sign_block_bytes": SIGN_BLOCK_BYTES,
-    }
-    with open(args.out, "w") as fh:
-        json.dump({"environment": environment, "cases": cases}, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(cases)} cases to {args.out}")
-    return 0
+            case = {"m": m, "p": "inf" if np.isinf(p) else p, "matrices": count,
+                    "engine": "svd" if p < 2 else "gram"}
+            case.update(time_case(lambda: schatten_norm(xs, p), runs)[0])
+            yield case
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, "BENCH_schatten.json", cases, sign_block_bytes=SIGN_BLOCK_BYTES))

@@ -14,17 +14,10 @@ draws (``task_gaussian_stack``), of its martingale differences
 block), and the distinct patterns evaluated and the probes kept.
 """
 
-import argparse
 import functools
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 
-import numpy as np
-
+from levelbench import main, patched, time_case, timing
 from walshlab import schauder
 from walshlab.states import LpContext, StateSpec
 
@@ -35,25 +28,6 @@ CASES = [("sampled", m, 3.0, 100) for m in range(1, 6)] + [
     ("exhaustive", 2, 4.0, 5000),
     ("exhaustive", 3, 4.0, 1000),
 ]
-
-
-def timed(fn, spent: list):
-    """``fn`` that appends the seconds of each call to ``spent``."""
-
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent.append(time.perf_counter() - start)
-
-    return wrapper
-
-
-def summary(times: list, key: str) -> dict:
-    return {f"{key}_min_s": min(times), f"{key}_median_s": statistics.median(times)}
-
-
 # Record key of each timed layer, by its name in ``schauder``.
 LAYERS = {
     "task_gaussian_stack": "draw",
@@ -62,64 +36,17 @@ LAYERS = {
 }
 
 
-def time_case(mode: str, m: int, p: float, trials: int, runs: int) -> dict:
-    ctx = LpContext(p, StateSpec(ALPHA, m))
-    sweep = functools.partial(schauder.unconditionality_constant, ctx, mode, trials=trials, seed=SEED)
-    originals = {name: getattr(schauder, name) for name in LAYERS}
-    spent = {name: [] for name in LAYERS}
-    for name, fn in originals.items():
-        setattr(schauder, name, timed(fn, spent[name]))
-    try:
-        report = sweep()  # warm-up
-        totals, layer_s = [], {name: [] for name in LAYERS}
-        for _ in range(runs):
-            for calls in spent.values():
-                calls.clear()
-            start = time.perf_counter()
-            sweep()
-            totals.append(time.perf_counter() - start)
-            for name, calls in spent.items():
-                layer_s[name].append(sum(calls))
-    finally:
-        for name, fn in originals.items():
-            setattr(schauder, name, fn)
-
-    record = {"mode": mode, "m": m, "p": p, "trials": trials,
-              "patterns": report.patterns, "probes": report.probes}
-    record.update(summary(totals, "sweep"))
-    for name, key in LAYERS.items():
-        record.update(summary(layer_s[name], key))
-    return record
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_sign.json")
-    args = ap.parse_args()
-
-    cases = []
+def cases(runs: int):
     for mode, m, p, trials in CASES:
-        record = time_case(mode, m, p, trials, args.runs)
-        cases.append(record)
-        print(json.dumps(record), flush=True)
-
-    environment = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": len(os.sched_getaffinity(0)),
-        "runs": args.runs,
-        "alpha": ALPHA,
-        "seed": SEED,
-        "sign_block_bytes": schauder.SIGN_BLOCK_BYTES,
-    }
-    with open(args.out, "w") as fh:
-        json.dump({"environment": environment, "cases": cases}, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(cases)} cases to {args.out}")
-    return 0
+        ctx = LpContext(p, StateSpec(ALPHA, m))
+        sweep = functools.partial(schauder.unconditionality_constant, ctx, mode, trials=trials, seed=SEED)
+        splits = {key: [] for key in LAYERS.values()}
+        with patched([(schauder, name, timing(splits[key])) for name, key in LAYERS.items()]):
+            times, report = time_case(sweep, runs, "sweep_", splits)
+        yield {"mode": mode, "m": m, "p": p, "trials": trials,
+               "patterns": report.patterns, "probes": report.probes, **times}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, "BENCH_sign.json", cases,
+                  alpha=ALPHA, seed=SEED, sign_block_bytes=schauder.SIGN_BLOCK_BYTES))

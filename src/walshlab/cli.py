@@ -296,6 +296,12 @@ SUITES = {
     "identity": _suite_identity,
     "blocks": _suite_blocks,
 }
+# The largest --level each suite runs at.  walsh holds all 4**m Walsh matrices
+# densely, 16**m complex values (4 GiB at m = 7).  expectations takes 36 * 4**m
+# norms of 2**m-row matrices in its multiplication-isometry loop alone: it ran
+# 74 s at m = 6 and would run for hours at m = 8.  identity takes 2 * 4**m
+# residuals over all 4**m Walsh matrices, about 16x the time per level.
+SUITE_LEVEL_CAPS = {"walsh": 6, "expectations": 6, "identity": 4, "blocks": 8}
 
 
 def _validate_flags(args) -> None:
@@ -424,21 +430,7 @@ def _cmd_norm(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    if args.suite == "identity":
-        # 2 * 4**m residuals over all 4**m Walsh matrices: about 16x the time per level.
-        _check_level(args.level)
-    if args.suite == "expectations":
-        # The multiplication-isometry loop alone takes 36 * 4**m norms of 2**m-row
-        # matrices: the suite ran 74 s at m = 6, and would run for hours at m = 8.
-        _check_level(args.level, cap=6)
-    if args.suite == "walsh":
-        # The suite holds all 4**m Walsh matrices densely: 16**m complex entries.
-        need = 16**args.level * np.dtype(np.complex128).itemsize
-        if need > MAX_SIGN_STACK_BYTES:
-            raise ValueError(
-                f"--level {args.level} needs a {need / 2**30:.2f} GiB Walsh stack for the walsh "
-                f"suite, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit; lower --level"
-            )
+    _check_level(args.level, cap=SUITE_LEVEL_CAPS[args.suite])
     ok = True
     for name, value, threshold in SUITES[args.suite](args.level, args.alpha):
         if threshold is None:
@@ -496,9 +488,9 @@ def _cmd_unconditionality(args, argv) -> int:
     need = sign_sweep_stack_bytes(args.level, args.trials)
     if need > MAX_SIGN_STACK_BYTES:
         raise ValueError(
-            f"--level {args.level} with --trials {args.trials} needs a {need / 2**30:.2f} GiB "
-            f"difference stack, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit; "
-            f"lower --level or --trials"
+            f"--level {args.level} with --trials {args.trials} takes {need / 2**30:.2f} GiB of "
+            f"martingale differences, each combined under every sign pattern, above the "
+            f"{MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB work limit; lower --level or --trials"
         )
     spec = StateSpec(args.alpha, args.level)
     report = unconditionality_constant(

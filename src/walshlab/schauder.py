@@ -173,18 +173,27 @@ def partial_sum(x, n: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Keep expansion coefficients 0..n of x (or of each matrix in a stack) and resynthesize."""
     x = as_stack(x)
     m = level_of_dim(x.shape[-1])
+    return keep_coefficients(x, _prefix_mask(n, m), alpha, mode)
+
+
+def _prefix_mask(n: int, m: int) -> np.ndarray:
     if not 0 <= n < 4**m:
         raise ValueError(f"partial-sum index {n} out of range for level m={m}")
-    return keep_coefficients(x, np.arange(4**m) <= n, alpha, mode)
+    return np.arange(4**m) <= n
 
 
-class _PartialSumHandle(OperatorHandle):
-    """P_n.  Its matrix is built from the first n + 1 analysis rows of the
-    system, cached in ``_system_factors``: column j of the matrix is the
-    synthesis of their column j."""
+class CoefficientMaskHandle(OperatorHandle):
+    """A map that keeps the level-m system coefficients where the boolean mask
+    ``keep`` holds and resynthesizes, such as P_n or a tensor shell sum Q_n.
+    ``fn`` is its action; ``rows`` is the last kept index + 1.  The matrix is
+    built from the kept analysis rows of the system, cached in
+    ``_system_factors``: column j of the matrix is the synthesis of their
+    column j."""
 
-    def __init__(self, n: int, m: int, alpha: float, mode: str):
-        super().__init__(1 << m, lambda x: partial_sum(x, n, alpha, mode), f"P[{n}]", rows=n + 1)
+    def __init__(self, fn, keep, m: int, alpha: float, mode: str, label: str):
+        keep = np.asarray(keep, dtype=bool)
+        super().__init__(1 << m, fn, label, rows=int(np.flatnonzero(keep)[-1]) + 1)
+        self._keep = keep
         self._system = (m, alpha, mode)
 
     def _materialize(self) -> np.ndarray:
@@ -192,12 +201,12 @@ class _PartialSumHandle(OperatorHandle):
         synthesis, analysis = _system_factors(m, alpha, mode)
         if mode == PAPER:
             # Paper-mode factors are dyadic (+-1, +-1/2), so this sum of products is exact.
-            return (synthesis[: self.rows].T @ analysis[: self.rows]).astype(np.complex128)
+            return (synthesis[self._keep].T @ analysis[self._keep]).astype(np.complex128)
         # Meanzero factors are not, and at small alpha the terms of that sum
         # cancel; the per-factor synthesis keeps the digits.
         count = 4**m
         coefficients = np.zeros((count, count))
-        coefficients[:, : self.rows] = analysis[: self.rows].T
+        coefficients[:, self._keep] = analysis[self._keep].T
         images = system_synthesize(coefficients, m, alpha, mode).reshape(count, count)
         return np.ascontiguousarray(images.T, dtype=np.complex128)
 
@@ -215,7 +224,10 @@ def _system_factors(m: int, alpha: float, mode: str) -> tuple[np.ndarray, np.nda
 
 
 def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> OperatorHandle:
-    return _PartialSumHandle(n, m, alpha, mode)
+    """P_n as a handle; n must lie in [0, 4**m)."""
+    return CoefficientMaskHandle(
+        lambda x: partial_sum(x, n, alpha, mode), _prefix_mask(n, m), m, alpha, mode, f"P[{n}]"
+    )
 
 
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
@@ -545,8 +557,9 @@ def unconditionality_constant(
     need = sign_sweep_stack_bytes(spec.m, trials)
     if need > MAX_SIGN_STACK_BYTES:
         raise ValueError(
-            f"sign sweep at level {spec.m} with {trials} trials needs a {need / 2**30:.2f} GiB "
-            f"difference stack, above the {MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB limit"
+            f"sign sweep at level {spec.m} with {trials} trials takes {need / 2**30:.2f} GiB of "
+            f"martingale differences, each combined under every sign pattern, above the "
+            f"{MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB work limit"
         )
     if mode == "exhaustive":
         if steps > 12:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import apply_factor_maps, as_matrix
-from .schauder import OperatorHandle
+from .schauder import CoefficientMaskHandle, OperatorHandle
 from .states import (
     LEFT,
     LpContext,
@@ -29,7 +29,7 @@ from .states import (
     filtration_differences,
     lp_norm,
 )
-from .walsh import binary_digits, keep_coefficients, walsh_matrix
+from .walsh import PAPER, binary_digits, keep_coefficients, walsh_matrix
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
 def tensor_partial_sum_handle(n: int, ctx: TensorContext) -> OperatorHandle:
     """The shell partial sum Q_n as a handle; r is 1 + the largest joint index at shell position <= n."""
     _check_shell_position(n, ctx)
-    rows = int(np.flatnonzero(_shell_positions(ctx) <= n)[-1]) + 1
-    return OperatorHandle(ctx.dim, lambda x: tensor_partial_sum(x, n, ctx), f"Q[{n}]", rows=rows)
+    return CoefficientMaskHandle(
+        lambda x: tensor_partial_sum(x, n, ctx), _shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]"
+    )
 
 
 @dataclass

@@ -87,6 +87,15 @@ def test_partial_sum_examples():
         partial_sum(y, 16)
 
 
+def test_partial_sum_handle_refuses_index_outside_level():
+    # n = 4**m would keep every coefficient (the identity) and a negative n
+    # none; both are refused when the handle is built, as partial_sum refuses them.
+    for n in (-3, -1, 16, 40):
+        with pytest.raises(ValueError, match=f"partial-sum index {n} out of range for level m=2"):
+            partial_sum_handle(n, 2, 0.3)
+    assert partial_sum_handle(15, 2, 0.3).rows == 16
+
+
 def test_partial_sum_projection_semigroup():
     # P_n P_k = P_min(n,k), exhaustively at level 2
     m = 2
@@ -816,7 +825,7 @@ def test_unconditionality_refuses_oversized_stack_before_building_probes():
     assert sign_sweep_stack_bytes(6, 1) > MAX_SIGN_STACK_BYTES
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="difference stack"):
+        with pytest.raises(ValueError, match="GiB of martingale differences"):
             unconditionality_constant(LpContext(3.0, StateSpec(0.3, 6)), "sampled", trials=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

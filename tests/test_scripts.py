@@ -1,5 +1,8 @@
-"""Every script under scripts/ starts: ``--help`` exits 0, so a stale import fails here."""
+"""Every script under scripts/ starts: ``--help`` exits 0, so a stale import fails here.
+One level-scaling record is rerun and held to its committed values."""
 
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -18,3 +21,21 @@ def test_script_help_exits_0(script):
         [sys.executable, str(script), "--help"], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_exact2_reproduces_its_committed_record(tmp_path):
+    # The exact p = 2 values are deterministic: a change to the harness or to
+    # the engines that moves a committed record fails here.
+    out = tmp_path / "exact2.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_exact2.py"), "--runs", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    committed = json.loads((ROOT / "BENCH_exact2.json").read_text())["cases"]
+    rerun = json.loads(out.read_text())["cases"]
+    identity = ("kind", "level", "n", "alpha", "rows")
+    assert [[case[k] for k in identity] for case in rerun] == [[case[k] for k in identity] for case in committed]
+    for new, old in zip(rerun, committed):
+        assert math.isclose(new["value"], old["value"], rel_tol=1e-12, abs_tol=0.0), new
