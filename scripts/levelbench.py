@@ -3,7 +3,8 @@
 A script hands ``main`` its docstring, its default record path, a generator
 of case records and the environment keys of its own; ``main`` parses
 ``--runs``/``--out``, prints each case as it comes and writes
-``{"environment", "cases"}`` to ``--out``.  A case is timed by ``time_case``
+``{"environment", "cases"}`` to ``--out``.  Like every CLI command, the
+cases run on one OpenBLAS thread.  A case is timed by ``time_case``
 (one untimed warm-up, then ``--runs`` timed calls; minimum and median
 seconds), and ``patched`` rebinds module attributes to counting or timing
 wrappers for the length of a block.  A script run as
@@ -20,6 +21,8 @@ import statistics
 import time
 
 import numpy as np
+
+from walshlab.linalg import pin_blas_threads
 
 
 def summary(times: list, prefix: str = "") -> dict:
@@ -82,14 +85,16 @@ def patched(rebinds):
             setattr(owner, name, original)
 
 
-def write_record(path: str, cases: list, runs: int, **environment) -> None:
+def write_record(path: str, cases: list, runs: int, blas: tuple, **environment) -> None:
     """Dump ``{"environment", "cases"}`` to ``path``; the environment holds the
-    Python and numpy versions, the BLAS numpy was built against, the machine,
-    the usable CPUs and ``runs``, then the script's own ``environment`` keys."""
+    Python and numpy versions, the BLAS numpy was built against and its thread
+    count (``blas``, as ``pin_blas_threads`` returns them), the machine, the
+    usable CPUs and ``runs``, then the script's own ``environment`` keys."""
     environment = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        "blas": blas[0],
+        "blas_threads": blas[1],
         "machine": platform.machine(),
         "cpus": len(os.sched_getaffinity(0)),
         "runs": runs,
@@ -108,10 +113,11 @@ def main(doc: str, out: str, cases, **environment) -> int:
     ap.add_argument("--out", default=out)
     args = ap.parse_args()
 
+    blas = pin_blas_threads()
     records = []
     for case in cases(args.runs):
         records.append(case)
         print(json.dumps(case), flush=True)
-    write_record(args.out, records, args.runs, **environment)
+    write_record(args.out, records, args.runs, blas, **environment)
     print(f"wrote {len(records)} cases to {args.out}")
     return 0

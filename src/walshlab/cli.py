@@ -26,6 +26,7 @@ from .linalg import (
     level_of_dim,
     matrix_from_json,
     matrix_to_json,
+    pin_blas_threads,
     task_rng,
 )
 from .states import (
@@ -84,7 +85,9 @@ def fmt(x) -> str:
 
 
 def write_manifest(args, argv: list[str], **records) -> None:
-    """Write ``<out>.manifest.json``: argv, seed, every other parsed flag and ``records``."""
+    """Write ``<out>.manifest.json``: argv, seed, every other parsed flag, numpy's
+    BLAS and its thread count, and ``records``."""
+    blas, threads = pin_blas_threads()
     manifest = {
         "argv": list(argv),
         "seed": getattr(args, "seed", None),
@@ -92,6 +95,7 @@ def write_manifest(args, argv: list[str], **records) -> None:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [args.out],
+        "blas": {"name": blas, "threads": threads},
         **records,
     }
     with open(args.out + ".manifest.json", "w") as fh:
@@ -561,7 +565,8 @@ COMMANDS = {
 
 
 def run_command(argv: list[str]) -> int:
-    """Dispatch one command line; returns the process exit status."""
+    """Dispatch one command line on one BLAS thread; returns the process exit status."""
+    pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,7 +11,10 @@ module that builds on this one.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +37,7 @@ __all__ = [
     "gaussian_matrix",
     "task_rng",
     "task_gaussian_stack",
+    "pin_blas_threads",
 ]
 
 
@@ -315,3 +319,44 @@ def task_gaussian_stack(dim: int, seed: int, count: int) -> np.ndarray:
         bits.state = fresh
         gen.standard_normal(out=parts[k])
     return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+
+
+@functools.cache
+def _openblas():
+    """numpy's BLAS name, and OpenBLAS's (set, get) thread-count functions or None.
+
+    numpy's wheels bundle OpenBLAS as a ``*openblas*`` file in ``numpy.libs``
+    with ``scipy_openblas_*64_`` symbols (older builds: ``openblas_*64_`` or
+    ``openblas_*``).  Looked up once per process.
+    """
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        name = "unknown"
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            setter = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if setter is not None:
+                getter = getattr(handle, f"{prefix}_get_num_threads{suffix}")
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return name, (setter, getter)
+    return name, None
+
+
+def pin_blas_threads() -> tuple[str, int | None]:
+    """Run numpy's OpenBLAS on one thread; returns numpy's BLAS name and its
+    thread count, None when the BLAS is not OpenBLAS (then nothing changes).
+
+    The norms here are many small dense products, where a second BLAS thread
+    spins rather than helps.  ``cli.run_command`` calls this before every
+    command; importing walshlab leaves the thread state alone.
+    """
+    name, openblas = _openblas()
+    if openblas is None:
+        return name, None
+    setter, getter = openblas
+    setter(1)
+    return name, getter()

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import tracemalloc
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import sequential_ascent
-from walshlab import cli, schauder
+from walshlab import cli, linalg, schauder
 from walshlab.cli import BASIS_HEADER, SIGN_HEADER, TENSOR_HEADER, fmt, run_command
 from walshlab.linalg import matrix_from_json
 
@@ -261,6 +262,34 @@ def test_manifest_records_every_parsed_flag(tmp_path, capsys, argv, parameters, 
     assert manifest["parameters"] == {k: v.format(w=w) if isinstance(v, str) else v for k, v in parameters.items()}
     assert manifest["seed"] == seed
     assert manifest["outputs"] == [str(out_path)]
+
+
+def test_manifest_records_blas_and_leaves_the_csv_alone(tmp_path, capsys, monkeypatch):
+    # The benchmark's reference CSV was written on OpenBLAS's default two threads.
+    argv = "unconditionality --level 3 --alpha 0.1 --p 3 --mode sampled --trials 100 --seed 2067789227 --out sa.csv"
+    references = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+    reference = json.loads(references.read_text())["outputs"][argv]
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv.split())[0] == 0
+    assert (tmp_path / "sa.csv").read_text() == reference
+    manifest = json.loads((tmp_path / "sa.csv.manifest.json").read_text())
+    name, openblas = linalg._openblas()
+    assert manifest["blas"] == {"name": name, "threads": None if openblas is None else 1}
+
+
+def test_run_command_pins_blas_to_one_thread(capsys):
+    _, openblas = linalg._openblas()
+    if openblas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    set_threads, get_threads = openblas
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("OpenBLAS runs at most one thread here")
+        assert run(capsys, "gen-walsh", "--index", "0", "--level", "1")[0] == 0
+        assert get_threads() == 1
+    finally:
+        linalg.pin_blas_threads()
 
 
 def test_fmt_17_digits():

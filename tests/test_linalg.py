@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import factor_map_oracle, random_matrix, random_psd
 from walshlab.linalg import (
+    _openblas,
     apply_factor_maps,
     dagger,
     gaussian_matrix,
@@ -265,3 +270,21 @@ def test_task_gaussian_stack_equals_per_task_draws_bit_for_bit(d, seed, count):
     assert stack.shape == oracle.shape and stack.dtype == oracle.dtype
     assert np.array_equal(stack, oracle)
     assert stack.tobytes() == oracle.tobytes()
+
+
+def test_importing_walshlab_leaves_blas_threads_alone():
+    # Only cli.run_command pins OpenBLAS to one thread; a library user keeps
+    # the count the environment gave.
+    if _openblas()[1] is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS runs at most one thread here")
+    code = (
+        "import walshlab.cli, walshlab.classical, walshlab.tensor\n"
+        "from walshlab.linalg import _openblas\n"
+        "print(_openblas()[1][1]())"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "2"

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -597,6 +598,30 @@ def test_estimator_rejections():
     handle = OperatorHandle.identity(2)
     with pytest.raises(ValueError):
         estimate_norm_lp(handle, LpContext(2.0, spec), restarts=0)
+
+
+# Decomposition operators on which the dual power iteration creeps to the
+# round cap: (n, p, value) at m = 3, alpha = 0.3, 8 restarts, seeded 2n + 1
+# as basis_constant_sweep(..., seed=0) seeds them.  The values are pinned
+# from below, so a fix that lets the iteration go on climbing shows as a rise.
+CREEPING_CELLS = [(52, 1.5, 1.1250881117594667), (34, 3.0, 1.0659216746179423)]
+
+
+@functools.cache
+def creeping_estimate(n: int, p: float):
+    spec = StateSpec(0.3, 3)
+    return estimate_norm_lp(decomposition_handle(n, spec), LpContext(p, spec), restarts=8, seed=2 * n + 1)
+
+
+@pytest.mark.parametrize("n, p, value", CREEPING_CELLS)
+def test_creeping_decomposition_cells_keep_their_values(n, p, value):
+    assert creeping_estimate(n, p).value >= value * (1 - 1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the iteration gains 1e-6 to 3e-5 per round and stops at the round cap")
+@pytest.mark.parametrize("n, p", [cell[:2] for cell in CREEPING_CELLS])
+def test_creeping_decomposition_cells_converge(n, p):
+    assert creeping_estimate(n, p).converged
 
 
 def test_basis_constant_sweep_tracial_rows_are_one():

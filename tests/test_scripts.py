@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from walshlab.linalg import _openblas
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -34,7 +36,10 @@ def test_bench_exact2_reproduces_its_committed_record(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     committed = json.loads((ROOT / "BENCH_exact2.json").read_text())["cases"]
-    rerun = json.loads(out.read_text())["cases"]
+    record = json.loads(out.read_text())
+    # The harness pins OpenBLAS to one thread, as every CLI command does.
+    assert record["environment"]["blas_threads"] == (None if _openblas()[1] is None else 1)
+    rerun = record["cases"]
     identity = ("kind", "level", "n", "alpha", "rows")
     assert [[case[k] for k in identity] for case in rerun] == [[case[k] for k in identity] for case in committed]
     for new, old in zip(rerun, committed):
