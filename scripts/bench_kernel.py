@@ -36,7 +36,7 @@ def cases(runs: int):
         coefficients = walsh_coefficients(xs)
         spec = StateSpec(ALPHA, m)
         calls = {
-            "apply_factor_maps": lambda: apply_factor_maps(xs, dict.fromkeys(range(m), factor_map), m),
+            "apply_factor_maps": lambda: apply_factor_maps(xs, dict.fromkeys(range(m), factor_map)),
             "walsh_coefficients": lambda: walsh_coefficients(xs),
             "walsh_synthesize": lambda: walsh_synthesize(coefficients, m),
             "cond_expect": lambda: cond_expect(xs, m, spec),

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, level_of_dim
+from .linalg import as_matrix, compressed_top_value, level_of_dim
 from .schauder import multistart_ascent
-from .states import LEFT, StateSpec, compressed_top_value, state_diagonal, weight_scale
+from .states import LEFT, StateSpec, state_diagonal, weight_scale
+from .walsh import mean_zero_block
 
 MAX_STEP_LEVEL = 8
 
@@ -67,12 +68,12 @@ def _walsh_functions(ns, level: int, alpha: float = 0.5) -> np.ndarray:
     (r_i - (2 alpha - 1)) / (2 sqrt(alpha (1 - alpha))).
 
     A normalized digit is sqrt((1-alpha)/alpha) where r_i = 1 and
-    -sqrt(alpha/(1-alpha)) where r_i = -1, taken in that closed form; at
-    alpha = 1/2 both are exactly 1, so the columns are the classical +-1
-    Walsh functions.  Other biases give functions orthonormal under the
-    dyadic weights.
+    -sqrt(alpha/(1-alpha)) where r_i = -1, the diagonal of
+    ``walsh.mean_zero_block``; at alpha = 1/2 both are exactly +-1, so the
+    columns are the classical +-1 Walsh functions.  Other biases give
+    functions orthonormal under the dyadic weights.
     """
-    plus, minus = math.sqrt((1.0 - alpha) / alpha), -math.sqrt(alpha / (1.0 - alpha))
+    plus, minus = np.diagonal(mean_zero_block(alpha)).real
     ks = np.arange(1 << level)[:, None]
     ns = np.asarray(ns)[None, :]
     values = np.ones((ks.shape[0], ns.shape[1]), dtype=np.complex128)
@@ -173,7 +174,7 @@ def classical_norm_exact2(n: int, level: int, alpha: float) -> float:
 
     Its range is spanned by Walsh functions 0..n, and so by the first n + 1
     functions orthonormalized for the biased measure, which give the r = n + 1
-    rows of ``states.compressed_top_value``.
+    rows of ``linalg.compressed_top_value``.
     """
     # A step function is a diagonal matrix: interval k carries the weight of column k.
     root = weight_scale(dyadic_weights(level, alpha), 2.0, LEFT).ravel()

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import (
+    MAX_LEVEL,
     dagger,
     gaussian_matrix,
     gns_inner,
@@ -417,17 +418,23 @@ def _cmd_gen_walsh(args, argv) -> int:
     return _emit_json(args, argv, json.dumps(matrix_to_json(w)))
 
 
-def _cmd_coeffs(args, argv) -> int:
-    with open(args.infile) as fh:
+def _read_matrix(path: str) -> tuple[np.ndarray, int]:
+    """The matrix of the ``--in`` JSON file and its level, which must lie in [1, MAX_LEVEL]."""
+    with open(path) as fh:
         x = matrix_from_json(json.load(fh))
     m = level_of_dim(x.shape[0])
+    if not 1 <= m <= MAX_LEVEL:
+        raise ValueError(f"--in holds a level-{m} matrix; the level must lie in [1, {MAX_LEVEL}]")
+    return x, m
+
+
+def _cmd_coeffs(args, argv) -> int:
+    x, m = _read_matrix(args.infile)
     return _emit_json(args, argv, json.dumps(coefficients_to_json(walsh_coefficients(x), m)))
 
 
 def _cmd_norm(args, argv) -> int:
-    with open(args.infile) as fh:
-        x = matrix_from_json(json.load(fh))
-    m = level_of_dim(x.shape[0])
+    x, m = _read_matrix(args.infile)
     value = lp_norm(x, LpContext(args.p, StateSpec(args.alpha, m), args.side))
     print(fmt(value))
     return 0

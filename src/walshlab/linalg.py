@@ -1,4 +1,5 @@
-"""Dense complex matrix kernel: Kronecker products, spectral routines, Schatten norms.
+"""Dense complex matrix kernel: Kronecker products, spectral routines, Schatten
+norms, and the per-factor 4x4 maps and coefficient transforms of a stack.
 
 Every matrix handled by this package is a square complex128 numpy array of
 dimension 2**m; functions that say so also take a stack of such matrices, an
@@ -34,6 +35,9 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "apply_factor_maps",
+    "factor_coefficients",
+    "factor_synthesis",
+    "compressed_top_value",
     "gaussian_matrix",
     "task_rng",
     "task_gaussian_stack",
@@ -261,7 +265,7 @@ def _factor_tensor_maps(t: np.ndarray, maps: dict, batch: int) -> np.ndarray:
     return t
 
 
-def apply_factor_maps(x, maps: dict, m: int | None = None) -> np.ndarray:
+def apply_factor_maps(x, maps: dict) -> np.ndarray:
     """Apply 4x4 linear maps to chosen tensor factors of every matrix in a stack.
 
     ``x`` is one 2**m matrix or a stack of shape (..., 2**m, 2**m); the maps
@@ -272,11 +276,60 @@ def apply_factor_maps(x, maps: dict, m: int | None = None) -> np.ndarray:
     kernel behind coefficient transforms and slice/pinch channels.
     """
     x = as_stack(x)
-    if m is None:
-        m = level_of_dim(x.shape[-1])
+    m = level_of_dim(x.shape[-1])
     if m == 0:
         return x.copy()
     return _from_factor_tensor(_factor_tensor_maps(_to_factor_tensor(x, m), maps, x.ndim - 2), m)
+
+
+def _coefficient_order(m: int, batch: int) -> tuple[int, ...]:
+    # factor-tensor axis i carries q_i; the flat slot is n = sum q_i 4**i,
+    # so q_0 must vary fastest and the factor axes are flattened in reverse.
+    # The permutation is its own inverse; leading batch axes stay in place.
+    return tuple(range(batch)) + tuple(batch + i for i in reversed(range(m)))
+
+
+def factor_coefficients(x, kernel) -> np.ndarray:
+    """Coefficients of each matrix in a (..., 2**m, 2**m) stack, shape (..., 4**m).
+
+    One 4x4 analysis ``kernel`` acts on every factor; factor i gives digit q_i of slot n = sum q_i 4**i.
+    """
+    x = as_stack(x)
+    m = level_of_dim(x.shape[-1])
+    batch = x.shape[:-2]
+    t = _factor_tensor_maps(_to_factor_tensor(x, m), dict.fromkeys(range(m), kernel), len(batch))
+    t = t.transpose(_coefficient_order(m, len(batch)))
+    return np.ascontiguousarray(t).reshape(batch + (4**m,))
+
+
+def factor_synthesis(c, m: int, kernels) -> np.ndarray:
+    """A (..., 4**m) coefficient stack to (..., 2**m, 2**m) with one 4x4 synthesis kernel per factor.
+
+    With ``m`` copies of the inverse of an analysis kernel this inverts
+    ``factor_coefficients`` with that kernel.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim == 0 or c.shape[-1] != 4**m:
+        raise ValueError(f"expected {4 ** m} coefficients for level m={m}, got shape {c.shape}")
+    batch = c.shape[:-1]
+    t = np.ascontiguousarray(c.reshape(batch + (4,) * m).transpose(_coefficient_order(m, len(batch))))
+    return _from_factor_tensor(_factor_tensor_maps(t, dict(enumerate(kernels)), len(batch)), m)
+
+
+def compressed_top_value(mat: np.ndarray, root: np.ndarray, basis: np.ndarray) -> float:
+    """Top singular value of S = diag(root) mat diag(root)^-1 from its rows on a basis of its range.
+
+    The value is the operator norm of ``mat`` for the inner product
+    sum_k root_k**2 conj(x_k) y_k.  The r rows of ``basis`` must be
+    orthonormal for that inner product and span a space that holds the range
+    of ``mat``; then the vectors root * basis_k are orthonormal and hold the
+    range of S, so ||S|| is the top singular value of the r x N matrix
+    (root * basis)* S, at O(N**2 r) cost instead of the O(N**3) of S's own
+    Gram matrix.  That value comes from the top eigenvalue of the r x r Gram
+    matrix, scaled into float range if need be.
+    """
+    rows = ((basis.conj() * (root * root)) @ mat) / root
+    return float(_gram_norms(rows.conj().T[np.newaxis], np.inf)[0])
 
 
 def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     as_stack,
+    compressed_top_value,
     gaussian_matrix,
     level_of_dim,
     task_gaussian_stack,
@@ -28,7 +29,6 @@ from .states import (
     LpContext,
     StateSpec,
     batched_weighted_lp_norm,
-    compressed_top_value,
     filtration_differences,
     lp_norm,
     orthonormal_stack,
@@ -57,6 +57,8 @@ MAX_SIGN_STACK_BYTES = 1 << 30
 # differences, and the combined stack of one block of patterns over them.
 # A norm holds a few more arrays of that size: the weighted copy, the Gram stack.
 SIGN_BLOCK_BYTES = 1 << 24
+# Sign patterns drawn by a sampled sweep, before duplicates are dropped.
+SIGN_PATTERN_SAMPLES = 256
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
@@ -185,13 +187,14 @@ def _prefix_mask(n: int, m: int) -> np.ndarray:
 class CoefficientMaskHandle(OperatorHandle):
     """A map that keeps the level-m system coefficients where the boolean mask
     ``keep`` holds and resynthesizes, such as P_n or a tensor shell sum Q_n.
-    ``fn`` is its action; ``rows`` is the last kept index + 1.  The matrix is
-    built from the kept analysis rows of the system, cached in
+    Its action is ``keep_coefficients``; ``rows`` is the last kept index + 1.
+    The matrix is built from the kept analysis rows of the system, cached in
     ``_system_factors``: column j of the matrix is the synthesis of their
     column j."""
 
-    def __init__(self, fn, keep, m: int, alpha: float, mode: str, label: str):
+    def __init__(self, keep, m: int, alpha: float, mode: str, label: str):
         keep = np.asarray(keep, dtype=bool)
+        fn = functools.partial(keep_coefficients, keep=keep, alpha=alpha, mode=mode)
         super().__init__(1 << m, fn, label, rows=int(np.flatnonzero(keep)[-1]) + 1)
         self._keep = keep
         self._system = (m, alpha, mode)
@@ -225,9 +228,7 @@ def _system_factors(m: int, alpha: float, mode: str) -> tuple[np.ndarray, np.nda
 
 def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> OperatorHandle:
     """P_n as a handle; n must lie in [0, 4**m)."""
-    return CoefficientMaskHandle(
-        lambda x: partial_sum(x, n, alpha, mode), _prefix_mask(n, m), m, alpha, mode, f"P[{n}]"
-    )
+    return CoefficientMaskHandle(_prefix_mask(n, m), m, alpha, mode, f"P[{n}]")
 
 
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
@@ -535,14 +536,14 @@ def unconditionality_constant(
     mode: str = "exhaustive",
     trials: int = 1024,
     seed: int = 0,
-    pattern_samples: int = 256,
 ) -> SignSweepReport:
     """Largest ratio ||rho(x)I + sum eps_s D_s x|| / ||x|| over sign patterns.
 
     The probe set is every Walsh matrix, every matrix unit, and ``trials``
     seeded Gaussian draws; draw k depends only on (seed, k), so enlarging
-    ``trials`` refines the probe set monotonically.  Sampled patterns are
-    reduced to their distinct rows before any norm: the ratio is a max over
+    ``trials`` refines the probe set monotonically.  Sampled mode draws
+    ``SIGN_PATTERN_SAMPLES`` patterns, the all-plus one among them, and reduces
+    them to their distinct rows before any norm: the ratio is a max over
     patterns, and sampled mode reports no per-pattern maxima.  The probes
     are taken in runs, their own norms and the filter too, and the patterns
     in blocks, so no stack built from the probes outgrows
@@ -567,7 +568,7 @@ def unconditionality_constant(
         patterns = _sign_patterns(steps)
     else:
         rng = task_rng(seed, 0xFACE)
-        patterns = np.where(rng.random((pattern_samples, steps)) < 0.5, -1.0, 1.0)
+        patterns = np.where(rng.random((SIGN_PATTERN_SAMPLES, steps)) < 0.5, -1.0, 1.0)
         patterns[0, :] = 1.0  # keep the all-plus pattern in the sample
         patterns = np.unique(patterns, axis=0)
 

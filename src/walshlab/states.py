@@ -27,13 +27,13 @@ import numpy as np
 
 from .linalg import (
     MAX_LEVEL,
-    _gram_norms,
     apply_factor_maps,
     as_matrix,
     as_stack,
+    factor_synthesis,
     schatten_norm,
 )
-from .walsh import GEN_FLIP, GEN_IDENTITY, _synthesize, mean_zero_block
+from .walsh import GEN_FLIP, GEN_IDENTITY, mean_zero_block
 
 LEFT = "left"
 RIGHT = "right"
@@ -206,11 +206,11 @@ def orthonormal_kernel(bias: float, side: str = LEFT) -> np.ndarray:
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    b = float(bias)
-    r, q = math.sqrt((1.0 - b) / b), math.sqrt(b / (1.0 - b))
+    block = mean_zero_block(bias)
+    r, q = block[0, 0].real, -block[1, 1].real
     top, bottom = (q, -r) if side == LEFT else (r, -q)
     return np.column_stack(
-        [GEN_IDENTITY.ravel(), mean_zero_block(b).ravel(), GEN_FLIP.ravel(), (0.0, top, bottom, 0.0)]
+        [GEN_IDENTITY.ravel(), block.ravel(), GEN_FLIP.ravel(), (0.0, top, bottom, 0.0)]
     ).astype(np.complex128)
 
 
@@ -227,23 +227,7 @@ def orthonormal_stack(spec: StateSpec, count: int, side: str = LEFT) -> np.ndarr
     if not 1 <= count <= 4**spec.m:
         raise ValueError(f"basis size {count} out of range [1, {4**spec.m}] for level m={spec.m}")
     kernels = [orthonormal_kernel(b, side) for b in spec.biases]
-    return _synthesize(np.eye(count, 4**spec.m, dtype=np.complex128), spec.m, kernels)
-
-
-def compressed_top_value(mat: np.ndarray, root: np.ndarray, basis: np.ndarray) -> float:
-    """Top singular value of S = diag(root) mat diag(root)^-1 from its rows on a basis of its range.
-
-    The value is the operator norm of ``mat`` for the inner product
-    sum_k root_k**2 conj(x_k) y_k.  The r rows of ``basis`` must be
-    orthonormal for that inner product and span a space that holds the range
-    of ``mat``; then the vectors root * basis_k are orthonormal and hold the
-    range of S, so ||S|| is the top singular value of the r x N matrix
-    (root * basis)* S, at O(N**2 r) cost instead of the O(N**3) of S's own
-    Gram matrix.  That value comes from the top eigenvalue of the r x r Gram
-    matrix, scaled into float range if need be.
-    """
-    rows = ((basis.conj() * (root * root)) @ mat) / root
-    return float(_gram_norms(rows.conj().T[np.newaxis], np.inf)[0])
+    return factor_synthesis(np.eye(count, 4**spec.m, dtype=np.complex128), spec.m, kernels)
 
 
 def lp_norm(x, ctx: LpContext) -> float | np.ndarray:
@@ -263,7 +247,7 @@ def modular_flow(x, t: float, spec: StateSpec) -> np.ndarray:
     return x * np.outer(phase, phase.conj())
 
 
-def _expectation_maps(s: int, spec: StateSpec) -> dict[int, np.ndarray]:
+def expectation_maps(s: int, spec: StateSpec) -> dict[int, np.ndarray]:
     """Factor maps of the expectation onto step s: one slice kernel per distinct bias."""
     kept = (s + 1 + 1) // 2  # ceil((s+1)/2): factors 0..kept-1 stay untouched
     sliced = spec.biases[kept:]
@@ -289,7 +273,7 @@ def cond_expect(x, s: int, spec: StateSpec) -> np.ndarray:
         return rho_value(x, spec)[..., None, None] * np.eye(spec.dim, dtype=np.complex128)
     if s == 2 * spec.m - 1:
         return x.copy()
-    return apply_factor_maps(x, _expectation_maps(s, spec), spec.m)
+    return apply_factor_maps(x, expectation_maps(s, spec))
 
 
 def mart_diff(x, s: int, spec: StateSpec) -> np.ndarray:

@@ -24,8 +24,8 @@ from .states import (
     LEFT,
     LpContext,
     StateSpec,
-    _expectation_maps,
     cond_expect,
+    expectation_maps,
     filtration_differences,
     lp_norm,
 )
@@ -119,7 +119,7 @@ def factor_expectation(x, side: str, ctx: TensorContext) -> np.ndarray:
     if side == "first":
         return cond_expect(x, 2 * ctx.first.m - 1, ctx)
     if side == "second":
-        return apply_factor_maps(x, _expectation_maps(-1, ctx.first), ctx.m)
+        return apply_factor_maps(x, expectation_maps(-1, ctx.first))
     raise ValueError(f"side must be 'first' or 'second', got {side!r}")
 
 
@@ -173,9 +173,7 @@ def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
 def tensor_partial_sum_handle(n: int, ctx: TensorContext) -> OperatorHandle:
     """The shell partial sum Q_n as a handle; r is 1 + the largest joint index at shell position <= n."""
     _check_shell_position(n, ctx)
-    return CoefficientMaskHandle(
-        lambda x: tensor_partial_sum(x, n, ctx), _shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]"
-    )
+    return CoefficientMaskHandle(_shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]")
 
 
 @dataclass

@@ -10,14 +10,15 @@ q_i = gamma_{2i} + 2*gamma_{2i+1} of n.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .linalg import (
-    _factor_tensor_maps,
-    _from_factor_tensor,
-    _to_factor_tensor,
     as_matrix,
     as_stack,
+    factor_coefficients,
+    factor_synthesis,
     kron,
     level_of_dim,
 )
@@ -32,27 +33,6 @@ GEN_DIAG = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 GEN_FLIP = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 GEN_ROT = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
 GENERATORS = (GEN_IDENTITY, GEN_DIAG, GEN_FLIP, GEN_ROT)
-
-# Per-factor analysis kernel: entries (x00, x01, x10, x11) -> coefficients
-# against the generators above; SYNTHESIS_KERNEL is its exact inverse.
-ANALYSIS_KERNEL = 0.5 * np.array(
-    [
-        [1, 0, 0, 1],
-        [1, 0, 0, -1],
-        [0, 1, 1, 0],
-        [0, 1, -1, 0],
-    ],
-    dtype=np.complex128,
-)
-SYNTHESIS_KERNEL = np.array(
-    [
-        [1, 1, 0, 0],
-        [0, 0, 1, 1],
-        [0, 0, 1, -1],
-        [1, -1, 0, 0],
-    ],
-    dtype=np.complex128,
-)
 
 
 def _sign_table() -> np.ndarray:
@@ -134,14 +114,26 @@ def generator_blocks(alpha: float = 0.5, mode: str = PAPER) -> list[np.ndarray]:
     return [rademacher_block(q & 1, q >> 1, alpha, mode) for q in range(4)]
 
 
+@functools.cache
+def factor_kernels(alpha: float = 0.5, mode: str = PAPER) -> tuple[np.ndarray, np.ndarray]:
+    """The (analysis, synthesis) 4x4 kernels of one tensor factor, read-only.
+
+    Column q of the synthesis kernel holds the (00, 01, 10, 11) entries of
+    generator q; the analysis kernel is its inverse, and sends a factor's
+    entries to its coefficients against the generators.  Paper-mode
+    generators do not depend on the bias, so that mode does not read ``alpha``.
+    """
+    blocks = generator_blocks(alpha if mode == MEANZERO else 0.5, mode)
+    synthesis = np.column_stack([b.reshape(4) for b in blocks])
+    analysis = np.linalg.inv(synthesis)
+    analysis.flags.writeable = synthesis.flags.writeable = False
+    return analysis, synthesis
+
+
 def walsh_matrix(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Walsh matrix w_n at level m, tensor factor 0 as the major operand."""
-    codes = factor_codes(n, m)
     blocks = generator_blocks(alpha, mode)
-    out = blocks[codes[0]]
-    for q in codes[1:]:
-        out = kron(out, blocks[q])
-    return out
+    return functools.reduce(kron, [blocks[q] for q in factor_codes(n, m)])
 
 
 def rademacher_matrix(s: int, m: int) -> np.ndarray:
@@ -183,43 +175,12 @@ def block_support(s: int) -> tuple[int, int]:
     return 1 << s, 1 << (s + 1)
 
 
-def _coefficient_order(m: int, batch: int = 0) -> tuple[int, ...]:
-    # factor-tensor axis i carries q_i; the flat slot is n = sum q_i 4**i,
-    # so q_0 must vary fastest and the factor axes are flattened in reverse.
-    # The permutation is its own inverse; leading batch axes stay in place.
-    return tuple(range(batch)) + tuple(batch + i for i in reversed(range(m)))
-
-
-def _analyse(x, kernel: np.ndarray) -> np.ndarray:
-    """Coefficients of each matrix in a (..., 2**m, 2**m) stack, shape (..., 4**m)."""
-    x = as_stack(x)
-    m = level_of_dim(x.shape[-1])
-    batch = x.shape[:-2]
-    # The factor maps run on the factor tensor, whose axis i then carries q_i.
-    t = _factor_tensor_maps(_to_factor_tensor(x, m), {j: kernel for j in range(m)}, len(batch))
-    t = t.transpose(_coefficient_order(m, len(batch)))
-    return np.ascontiguousarray(t).reshape(batch + (4**m,))
-
-
-def _synthesize(c, m: int, kernels) -> np.ndarray:
-    """A (..., 4**m) coefficient stack to (..., 2**m, 2**m) with one 4x4 synthesis kernel per factor.
-
-    With ``m`` copies of the inverse of _analyse's kernel this inverts _analyse.
-    """
-    c = np.asarray(c, dtype=np.complex128)
-    if c.ndim == 0 or c.shape[-1] != 4**m:
-        raise ValueError(f"expected {4 ** m} coefficients for level m={m}, got shape {c.shape}")
-    batch = c.shape[:-1]
-    t = np.ascontiguousarray(c.reshape(batch + (4,) * m).transpose(_coefficient_order(m, len(batch))))
-    return _from_factor_tensor(_factor_tensor_maps(t, dict(enumerate(kernels)), len(batch)), m)
-
-
 def walsh_coefficients(x) -> np.ndarray:
     """Coefficients c_n = 2**(-m) Tr(w_n* x) via per-factor 4x4 passes.
 
     A (..., 2**m, 2**m) stack gives a (..., 4**m) coefficient stack.
     """
-    return _analyse(x, ANALYSIS_KERNEL)
+    return system_coefficients(x)
 
 
 def walsh_coefficients_naive(x) -> np.ndarray:
@@ -236,26 +197,17 @@ def walsh_coefficients_naive(x) -> np.ndarray:
 
 def walsh_synthesize(c, m: int) -> np.ndarray:
     """Rebuild sum_n c_n w_n from coefficients of shape (..., 4**m)."""
-    return _synthesize(c, m, [SYNTHESIS_KERNEL] * m)
-
-
-def _meanzero_kernels(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    synth = np.column_stack([b.reshape(4) for b in generator_blocks(alpha, MEANZERO)])
-    return np.linalg.inv(synth), synth
+    return system_synthesize(c, m)
 
 
 def system_coefficients(x, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Expansion coefficients of x (or a stack) against the level-m system in the given mode."""
-    if _check_mode(mode) == PAPER:
-        return walsh_coefficients(x)
-    return _analyse(x, _meanzero_kernels(alpha)[0])
+    return factor_coefficients(x, factor_kernels(alpha, mode)[0])
 
 
 def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Inverse of system_coefficients for the same (alpha, mode)."""
-    if _check_mode(mode) == PAPER:
-        return walsh_synthesize(c, m)
-    return _synthesize(c, m, [_meanzero_kernels(alpha)[1]] * m)
+    return factor_synthesis(c, m, [factor_kernels(alpha, mode)[1]] * m)
 
 
 def analysis_stack(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
@@ -266,8 +218,7 @@ def analysis_stack(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     a_k is the tensor product of the blocks picked by the base-4 digits of
     k: one synthesis with the transposed kernel.
     """
-    kernel = ANALYSIS_KERNEL if _check_mode(mode) == PAPER else _meanzero_kernels(alpha)[0]
-    return _synthesize(np.eye(4**m), m, [kernel.T] * m)
+    return factor_synthesis(np.eye(4**m), m, [factor_kernels(alpha, mode)[0].T] * m)
 
 
 def keep_coefficients(x, keep, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
@@ -304,7 +255,10 @@ def walsh_stack(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
 def gram_matrix(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
     """Normalized-trace Gram matrix of the level-m system (orthonormal in paper mode).
 
-    Entry (a, b) is Tr(w_a* w_b) / 2**m, one product of the flattened system.
+    Entry (a, b) is Tr(w_a* w_b) / 2**m, the product over the factors of
+    entry (a_i, b_i) of the one-factor Gram matrix S* S / 2, S the synthesis
+    kernel: its m-th Kronecker power, the exact identity in paper mode.
     """
-    flat = walsh_stack(m, alpha, mode).reshape(4**m, -1)
-    return (flat.conj() @ flat.T) / 2**m
+    synthesis = factor_kernels(alpha, mode)[1]
+    factor = synthesis.conj().T @ synthesis / 2
+    return functools.reduce(kron, [factor] * m, np.ones((1, 1), dtype=np.complex128))

@@ -8,6 +8,29 @@ from walshlab.schauder import ASCENT_TOL, MAX_ASCENT_ITER
 from walshlab.states import LEFT, state_diagonal, weight_scale
 
 
+# The paper-mode per-factor kernels, typed out: the analysis kernel sends a
+# factor's entries (x00, x01, x10, x11) to its coefficients against
+# I, diag(1, -1), the flip and the rotation; the synthesis kernel is its inverse.
+PAPER_ANALYSIS_KERNEL = 0.5 * np.array(
+    [
+        [1, 0, 0, 1],
+        [1, 0, 0, -1],
+        [0, 1, 1, 0],
+        [0, 1, -1, 0],
+    ],
+    dtype=np.complex128,
+)
+PAPER_SYNTHESIS_KERNEL = np.array(
+    [
+        [1, 1, 0, 0],
+        [0, 0, 1, 1],
+        [0, 0, 1, -1],
+        [1, -1, 0, 0],
+    ],
+    dtype=np.complex128,
+)
+
+
 def random_matrix(m: int, seed: int) -> np.ndarray:
     return gaussian_matrix(1 << m, task_rng(seed))
 

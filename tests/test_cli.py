@@ -501,3 +501,18 @@ def test_level4_estimate_sweep_holds_one_block_of_matrices(tmp_path, capsys, mon
     assert run(capsys, *argv.split(), "--out", str(tmp_path / "bc.csv"))[0] == 0
     assert peak[0] == 16
     assert 0 < max(rows) <= min(16, schauder.ASCENT_BLOCK)
+
+
+@pytest.mark.parametrize("command", [["coeffs"], ["norm", "--p", "2", "--alpha", "0.3"]])
+@pytest.mark.parametrize("m", [0, 9])
+def test_matrix_file_outside_levels_1_to_8_is_refused(tmp_path, capsys, command, m):
+    in_path = tmp_path / f"level{m}.json"
+    dim = 1 << m
+    in_path.write_text(json.dumps({"m": m, "re": np.eye(dim).tolist(), "im": np.zeros((dim, dim)).tolist()}))
+    out_path = tmp_path / "out.json"
+    argv = [*command, "--in", str(in_path)] + (["--out", str(out_path)] if command == ["coeffs"] else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "--in" in err and f"level-{m}" in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [in_path.name]

@@ -241,10 +241,10 @@ def test_apply_factor_maps_stack_equals_per_matrix_loop(m):
     xs = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
     for _ in range(3):
         maps = _random_maps(rng, m)
-        stacked = apply_factor_maps(xs, maps, m)
+        stacked = apply_factor_maps(xs, maps)
         assert stacked.shape == xs.shape
         flat = xs.reshape(-1, d, d)
-        loop = np.stack([apply_factor_maps(x, maps, m) for x in flat]).reshape(xs.shape)
+        loop = np.stack([apply_factor_maps(x, maps) for x in flat]).reshape(xs.shape)
         scale = np.max(np.abs(loop))
         assert np.max(np.abs(stacked - loop)) <= 1e-15 * scale
         if m <= 4:

@@ -783,9 +783,10 @@ def _sign_sweep_reference(ctx, mode, trials, seed, pattern_samples=256):
 @pytest.mark.parametrize(
     "m, mode, p, trials", [(2, "exhaustive", 4.0, 30), (3, "sampled", 3.0, 6)]
 )
-def test_unconditionality_matches_per_probe_reference(m, mode, p, trials):
+def test_unconditionality_matches_per_probe_reference(m, mode, p, trials, monkeypatch):
     ctx = LpContext(p, StateSpec(0.3, m))
-    rep = unconditionality_constant(ctx, mode, trials=trials, seed=5, pattern_samples=24)
+    monkeypatch.setattr(schauder, "SIGN_PATTERN_SAMPLES", 24)
+    rep = unconditionality_constant(ctx, mode, trials=trials, seed=5)
     maxima = _sign_sweep_reference(ctx, mode, trials, seed=5, pattern_samples=24)
     assert abs(rep.max_ratio - max(maxima)) <= 1e-12 * max(maxima)
     if mode == "exhaustive":
@@ -797,7 +798,8 @@ def test_unconditionality_matches_per_probe_reference(m, mode, p, trials):
 @pytest.mark.parametrize("mode, trials", [("exhaustive", 40), ("sampled", 300)])
 def test_unconditionality_splits_probes_when_one_pattern_outgrows_the_budget(mode, trials, monkeypatch):
     ctx = LpContext(3.0, StateSpec(0.3, 2))
-    whole = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    monkeypatch.setattr(schauder, "SIGN_PATTERN_SAMPLES", 20)
+    whole = unconditionality_constant(ctx, mode, trials=trials, seed=3)
     budget = 7 * 16 * 16  # seven 4x4 complex matrices, far below one pattern's stack
     stacks = []
     norm = schauder.batched_weighted_lp_norm
@@ -808,7 +810,7 @@ def test_unconditionality_splits_probes_when_one_pattern_outgrows_the_budget(mod
 
     monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", budget)
     monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
-    split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    split = unconditionality_constant(ctx, mode, trials=trials, seed=3)
     patterns = 16 if mode == "exhaustive" else 20
     assert len(stacks) > patterns  # every pattern took several probe runs
     assert max(stacks) <= budget  # the probes' own norms too, run by run
@@ -819,7 +821,8 @@ def test_unconditionality_splits_probes_when_one_pattern_outgrows_the_budget(mod
 @pytest.mark.parametrize("mode, trials", [("exhaustive", 40), ("sampled", 300)])
 def test_unconditionality_keeps_every_stack_within_the_budget(mode, trials, monkeypatch):
     ctx = LpContext(3.0, StateSpec(0.3, 2))
-    whole = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    monkeypatch.setattr(schauder, "SIGN_PATTERN_SAMPLES", 20)
+    whole = unconditionality_constant(ctx, mode, trials=trials, seed=3)
     budget = 3 * 4 * 16 * 16  # three probes' differences: 2m = 4 steps of 4x4 complex matrices
     differences, norm_inputs = [], []
     filtration, norm = schauder.filtration_differences, schauder.batched_weighted_lp_norm
@@ -836,7 +839,7 @@ def test_unconditionality_keeps_every_stack_within_the_budget(mode, trials, monk
     monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", budget)
     monkeypatch.setattr(schauder, "filtration_differences", recording_filtration)
     monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording_norm)
-    split = unconditionality_constant(ctx, mode, trials=trials, seed=3, pattern_samples=20)
+    split = unconditionality_constant(ctx, mode, trials=trials, seed=3)
     assert len(differences) > 1  # several probe runs
     # Each run takes its probes' own norms, then several pattern blocks.
     assert len(norm_inputs) > 2 * len(differences)
@@ -870,7 +873,7 @@ def test_sampled_sweep_takes_each_distinct_pattern_once(monkeypatch):
         return norm(xs, *args, **kwargs)
 
     monkeypatch.setattr(schauder, "batched_weighted_lp_norm", recording)
-    rep = unconditionality_constant(ctx, "sampled", trials=trials, seed=5, pattern_samples=256)
+    rep = unconditionality_constant(ctx, "sampled", trials=trials, seed=5)
     maxima = _sign_sweep_reference(ctx, "sampled", trials, seed=5, pattern_samples=256)
     assert len(maxima) == 256
     assert abs(rep.max_ratio - max(maxima)) <= 1e-12 * max(maxima)

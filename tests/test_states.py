@@ -4,12 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import dense_top_value, random_matrix
-from walshlab.linalg import gns_inner, schatten_norm
+from walshlab.linalg import compressed_top_value, gns_inner, schatten_norm
 from walshlab.states import (
     LpContext,
     StateSpec,
     batched_weighted_lp_norm,
-    compressed_top_value,
     cond_expect,
     lp_norm,
     mart_diff,

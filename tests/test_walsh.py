@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_matrix
+from helpers import PAPER_ANALYSIS_KERNEL, PAPER_SYNTHESIS_KERNEL, random_matrix
 from walshlab.linalg import dagger
 from walshlab.walsh import (
     MEANZERO,
@@ -11,6 +11,7 @@ from walshlab.walsh import (
     binary_digits,
     block_support,
     factor_codes,
+    factor_kernels,
     gram_matrix,
     mean_zero_block,
     predicted_rademacher_sign,
@@ -129,8 +130,32 @@ def test_unitarity_exhaustive_small_levels():
 
 def test_gram_orthonormal_small_levels():
     for m in (1, 2, 3):
-        g = gram_matrix(m)
-        assert np.max(np.abs(g - np.eye(4**m))) < 1e-12
+        assert np.array_equal(gram_matrix(m), np.eye(4**m))
+
+
+def test_paper_factor_kernels_equal_the_typed_table():
+    analysis, synthesis = factor_kernels()
+    assert np.array_equal(analysis, PAPER_ANALYSIS_KERNEL)
+    assert np.array_equal(synthesis, PAPER_SYNTHESIS_KERNEL)
+    # Paper mode does not read the bias, not even one outside (0, 1/2].
+    for alpha in (0.3, 0.9):
+        assert all(map(np.array_equal, factor_kernels(alpha, PAPER), factor_kernels()))
+    x = random_matrix(2, 7)
+    assert np.array_equal(system_coefficients(x, 0.9, PAPER), walsh_coefficients(x))
+    with pytest.raises(ValueError):
+        factor_kernels(0.9, MEANZERO)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-4])
+def test_meanzero_factor_kernels_are_inverse(alpha):
+    analysis, synthesis = factor_kernels(alpha, MEANZERO)
+    # An LU inverse is good to about eps * cond(S): 3e-16 at 0.3, 2e-14 at 1e-4,
+    # where the mean-zero column carries sqrt((1-a)/a) ~ 100.
+    bound = np.finfo(np.float64).eps * np.linalg.cond(synthesis)
+    assert np.max(np.abs(analysis @ synthesis - np.eye(4))) <= bound
+    for q, block in enumerate(rademacher_block(q & 1, q >> 1, alpha, MEANZERO) for q in range(4)):
+        assert np.array_equal(synthesis[:, q], block.ravel())
+    assert not analysis.flags.writeable and not synthesis.flags.writeable
 
 
 @pytest.mark.parametrize("mode", [PAPER, MEANZERO])
@@ -143,7 +168,7 @@ def test_walsh_stack_equals_per_index_matrices(mode):
 
 @pytest.mark.parametrize("mode", [PAPER, MEANZERO])
 def test_gram_matrix_matches_per_entry_traces(mode):
-    for m in (1, 2):
+    for m in (1, 2, 3):
         mats = [walsh_matrix(n, m, 0.3, mode) for n in range(4**m)]
         oracle = np.array([[np.trace(dagger(a) @ b) / 2**m for b in mats] for a in mats])
         assert np.max(np.abs(gram_matrix(m, 0.3, mode) - oracle)) <= 1e-15
