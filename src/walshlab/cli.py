@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -343,6 +344,7 @@ def _add_sweep_flags(parser) -> None:
     parser.add_argument("--out", required=True)
 
 
+@functools.cache  # once per process: parsing leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="walshlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -37,6 +37,7 @@ __all__ = [
     "apply_factor_maps",
     "factor_coefficients",
     "factor_synthesis",
+    "factor_map_matrix",
     "compressed_top_value",
     "gaussian_matrix",
     "task_rng",
@@ -282,6 +283,23 @@ def apply_factor_maps(x, maps: dict) -> np.ndarray:
     return _from_factor_tensor(_factor_tensor_maps(_to_factor_tensor(x, m), maps, x.ndim - 2), m)
 
 
+def factor_map_matrix(terms, m: int) -> np.ndarray:
+    """The (4**m, 4**m) vec-basis matrix of sum_t c_t apply_factor_maps(., dict(enumerate(maps_t))).
+
+    A term (c, maps) holds m real 4x4 maps, factor 0 first; on the factor
+    tensor it is c K_0 (x) ... (x) K_(m-1).  The products run from the last
+    factor up (the long axis inner), and the real sum is permuted once.
+    """
+    total = np.zeros((4**m, 4**m))
+    for c, maps in terms:
+        term = np.full((1, 1), float(c))
+        for k in reversed(maps):
+            term = (np.asarray(k, dtype=np.float64)[:, None, :, None] * term[None, :, None, :]).reshape(4 * len(term), -1)
+        total += term
+    order = _from_factor_tensor(np.arange(4**m).reshape((4,) * m), m).ravel()  # vec slot -> factor-tensor slot
+    return total.take(order[:, np.newaxis] * 4**m + order).astype(np.complex128)
+
+
 def _coefficient_order(m: int, batch: int) -> tuple[int, ...]:
     # factor-tensor axis i carries q_i; the flat slot is n = sum q_i 4**i,
     # so q_0 must vary fastest and the factor axes are flattened in reverse.
@@ -355,8 +373,8 @@ def task_rng(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_task_key(seed, ids)))
 
 
-def task_gaussian_stack(dim: int, seed: int, count: int) -> np.ndarray:
-    """The stack of ``gaussian_matrix(dim, task_rng(seed, k))`` for k < count, bit for bit.
+def task_gaussian_stack(dim: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+    """The stack of ``gaussian_matrix(dim, task_rng(seed, k))`` for start <= k < start + count, bit for bit.
 
     One Philox generator serves every k: its fresh state (counter 0, empty
     buffer), the state ``task_rng`` starts from, is set again with the key of
@@ -368,7 +386,7 @@ def task_gaussian_stack(dim: int, seed: int, count: int) -> np.ndarray:
     fresh = bits.state
     parts = np.empty((count, 2, dim, dim))
     for k in range(count):
-        fresh["state"]["key"] = _task_key(seed, (k,))
+        fresh["state"]["key"] = _task_key(seed, (start + k,))
         bits.state = fresh
         gen.standard_normal(out=parts[k])
     return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     as_stack,
     compressed_top_value,
+    factor_map_matrix,
     gaussian_matrix,
     level_of_dim,
     task_gaussian_stack,
@@ -29,6 +30,7 @@ from .states import (
     LpContext,
     StateSpec,
     batched_weighted_lp_norm,
+    difference_terms,
     filtration_differences,
     lp_norm,
     orthonormal_stack,
@@ -39,10 +41,9 @@ from .states import (
 )
 from .walsh import (
     PAPER,
-    analysis_stack,
     binary_digits,
     keep_coefficients,
-    system_synthesize,
+    mask_terms,
     walsh_matrix,
     walsh_stack,
 )
@@ -86,14 +87,17 @@ class OperatorHandle:
     ``matrix()`` materializes the action in the matrix-unit basis (row-major
     vec convention) for levels m <= 4.  ``rows`` is r, the number of leading
     Walsh matrices whose span holds the range: the constructor that knows the
-    operator's structure sets it, every other handle takes all 4**m.
+    operator's structure sets it, every other handle takes all 4**m.  Those
+    constructors also set ``terms``, a callable that gives the map as terms of
+    ``linalg.factor_map_matrix``; ``matrix()`` of a handle without them probes.
     """
 
-    def __init__(self, dim: int, fn, label: str = "", rows: int | None = None):
+    def __init__(self, dim: int, fn, label: str = "", rows: int | None = None, terms=None):
         self.dim = int(dim)
         self._fn = fn
         self.label = label
         self.rows = self.dim * self.dim if rows is None else int(rows)
+        self.terms = terms
         self._matrix = None
 
     def __call__(self, x) -> np.ndarray:
@@ -101,7 +105,7 @@ class OperatorHandle:
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorHandle":
-        return cls(dim, lambda x: x.copy(), "id")
+        return cls(dim, lambda x: x.copy(), "id", terms=lambda: [(1.0, [np.eye(4)] * level_of_dim(dim))])
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray, label: str = "explicit") -> "OperatorHandle":
@@ -123,14 +127,13 @@ class OperatorHandle:
                 raise ValueError(
                     f"refusing to materialize a superoperator at level {m} > {MAX_EXPLICIT_LEVEL}"
                 )
-            self._matrix = self._materialize()
+            if self.terms is not None:
+                self._matrix = factor_map_matrix(self.terms(), m)
+            else:
+                # Row k of the image stack is column k: the image of matrix unit k.
+                d2 = self.dim * self.dim
+                self._matrix = self(matrix_unit_stack(self.dim)).reshape(d2, d2).T.copy()
         return self._matrix
-
-    def _materialize(self) -> np.ndarray:
-        """The matrix by probing; a subclass that knows a cheaper way overrides this."""
-        d2 = self.dim * self.dim
-        # Row k of the image stack is column k: the image of matrix unit k.
-        return self(matrix_unit_stack(self.dim)).reshape(d2, d2).T.copy()
 
 
 @dataclass
@@ -184,51 +187,19 @@ def _prefix_mask(n: int, m: int) -> np.ndarray:
     return np.arange(4**m) <= n
 
 
-class CoefficientMaskHandle(OperatorHandle):
-    """A map that keeps the level-m system coefficients where the boolean mask
-    ``keep`` holds and resynthesizes, such as P_n or a tensor shell sum Q_n.
-    Its action is ``keep_coefficients``; ``rows`` is the last kept index + 1.
-    The matrix is built from the kept analysis rows of the system, cached in
-    ``_system_factors``: column j of the matrix is the synthesis of their
-    column j."""
-
-    def __init__(self, keep, m: int, alpha: float, mode: str, label: str):
-        keep = np.asarray(keep, dtype=bool)
-        fn = functools.partial(keep_coefficients, keep=keep, alpha=alpha, mode=mode)
-        super().__init__(1 << m, fn, label, rows=int(np.flatnonzero(keep)[-1]) + 1)
-        self._keep = keep
-        self._system = (m, alpha, mode)
-
-    def _materialize(self) -> np.ndarray:
-        m, alpha, mode = self._system
-        synthesis, analysis = _system_factors(m, alpha, mode)
-        if mode == PAPER:
-            # Paper-mode factors are dyadic (+-1, +-1/2), so this sum of products is exact.
-            return (synthesis[self._keep].T @ analysis[self._keep]).astype(np.complex128)
-        # Meanzero factors are not, and at small alpha the terms of that sum
-        # cancel; the per-factor synthesis keeps the digits.
-        count = 4**m
-        coefficients = np.zeros((count, count))
-        coefficients[:, self._keep] = analysis[self._keep].T
-        images = system_synthesize(coefficients, m, alpha, mode).reshape(count, count)
-        return np.ascontiguousarray(images.T, dtype=np.complex128)
-
-
-@functools.lru_cache(maxsize=8)
-def _system_factors(m: int, alpha: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesis and analysis of the level-m system as (4**m, 4**m) rows: row k
-    of the first is w_k and of the second a_k, both flattened.  Every generator
-    is real, so both are, and P_n's matrix is taken in real arithmetic."""
-    count = 4**m
-    synthesis = np.ascontiguousarray(system_synthesize(np.eye(count), m, alpha, mode).real).reshape(count, count)
-    analysis = np.ascontiguousarray(analysis_stack(m, alpha, mode).real).reshape(count, count)
-    synthesis.flags.writeable = analysis.flags.writeable = False
-    return synthesis, analysis
+def coefficient_mask_handle(keep, m: int, alpha: float, mode: str, label: str) -> OperatorHandle:
+    """``keep_coefficients`` with the boolean mask ``keep`` (P_n, or a tensor shell sum Q_n) as a
+    handle with the terms ``mask_terms``; ``rows`` is the last kept index + 1."""
+    keep = np.asarray(keep, dtype=bool)
+    return OperatorHandle(
+        1 << m, functools.partial(keep_coefficients, keep=keep, alpha=alpha, mode=mode), label,
+        rows=int(np.flatnonzero(keep)[-1]) + 1, terms=functools.partial(mask_terms, keep, m, alpha, mode),
+    )
 
 
 def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> OperatorHandle:
     """P_n as a handle; n must lie in [0, 4**m)."""
-    return CoefficientMaskHandle(_prefix_mask(n, m), m, alpha, mode, f"P[{n}]")
+    return coefficient_mask_handle(_prefix_mask(n, m), m, alpha, mode, f"P[{n}]")
 
 
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
@@ -256,7 +227,7 @@ def subset_projection_handle(steps, spec: StateSpec) -> OperatorHandle:
     steps = tuple(sorted(set(int(s) for s in steps)))
     return OperatorHandle(
         spec.dim, lambda x: subset_projection(x, steps, spec), f"T{list(steps)}",
-        rows=1 << (max(steps, default=-1) + 1),
+        rows=1 << (max(steps, default=-1) + 1), terms=lambda: difference_terms(steps, spec),
     )
 
 
@@ -545,9 +516,10 @@ def unconditionality_constant(
     ``SIGN_PATTERN_SAMPLES`` patterns, the all-plus one among them, and reduces
     them to their distinct rows before any norm: the ratio is a max over
     patterns, and sampled mode reports no per-pattern maxima.  The probes
-    are taken in runs, their own norms and the filter too, and the patterns
-    in blocks, so no stack built from the probes outgrows
-    ``SIGN_BLOCK_BYTES`` (unless one probe's differences do).
+    are taken in runs, each run drawing its own Gaussian probes, their own
+    norms and the filter too, and the patterns in blocks, so no stack built
+    from the probes outgrows ``SIGN_BLOCK_BYTES`` (unless one probe's
+    differences do).
     """
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -573,21 +545,19 @@ def unconditionality_constant(
         patterns = np.unique(patterns, axis=0)
 
     d = spec.dim
-    xs = np.concatenate(
-        [
-            walsh_stack(spec.m),
-            matrix_unit_stack(d),
-            task_gaussian_stack(d, seed, trials),
-        ]
-    )
-
+    # The Walsh matrices and matrix units as one stack (32 MiB at m = 5); each run draws its own Gaussian probes.
+    fixed = np.concatenate([walsh_stack(spec.m), matrix_unit_stack(d)])
     weights = state_diagonal(spec)
-    matrix_bytes = d * d * xs.itemsize
+    matrix_bytes = d * d * fixed.itemsize
     run = max(1, SIGN_BLOCK_BYTES // (steps * matrix_bytes))
     row_max = np.zeros(patterns.shape[0])
     kept = 0
-    for first in range(0, xs.shape[0], run):
-        probes = xs[first : first + run]
+    for first in range(0, len(fixed) + trials, run):
+        last = min(first + run, len(fixed) + trials)
+        probes = fixed[first:last]
+        if last > len(fixed):  # Gaussian draws lo - len(fixed) .. last - len(fixed) - 1
+            lo = max(first, len(fixed))
+            probes = np.concatenate([probes, task_gaussian_stack(d, seed, last - lo, lo - len(fixed))])
         base_norms = batched_weighted_lp_norm(probes, weights, ctx.p, ctx.side)
         keep = base_norms > 1e-12
         probes, base_norms = probes[keep], base_norms[keep]
@@ -606,19 +576,8 @@ def unconditionality_constant(
             row_max[rows] = np.maximum(row_max[rows], (norms / base_norms).max(axis=1))
     pattern_maxima: dict | None = None
     if mode == "exhaustive":
-        pattern_maxima = {
-            tuple(int(v) for v in pat): float(row_max[j])
-            for j, pat in enumerate(patterns)
-        }
-    max_ratio = float(row_max.max())
+        pattern_maxima = {tuple(int(v) for v in pat): float(row_max[j]) for j, pat in enumerate(patterns)}
     return SignSweepReport(
-        p=ctx.p,
-        alpha=spec.alpha,
-        m=spec.m,
-        trials=trials,
-        seed=seed,
-        max_ratio=max_ratio,
-        patterns=patterns.shape[0],
-        probes=kept,
-        pattern_maxima=pattern_maxima,
+        p=ctx.p, alpha=spec.alpha, m=spec.m, trials=trials, seed=seed, max_ratio=float(row_max.max()),
+        patterns=patterns.shape[0], probes=kept, pattern_maxima=pattern_maxima,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import apply_factor_maps, as_matrix
-from .schauder import CoefficientMaskHandle, OperatorHandle
+from .schauder import OperatorHandle, coefficient_mask_handle
 from .states import (
     LEFT,
     LpContext,
@@ -131,19 +131,13 @@ def factor_projection(x, side: str, j: int, ctx: TensorContext) -> np.ndarray:
     second block.
     """
     x = as_matrix(x)
-    if side == "second":
-        if not 0 <= j < 4**ctx.second.m:
-            raise ValueError(f"index {j} out of range for second-block level {ctx.second.m}")
-        v = walsh_matrix(j << 2 * ctx.first.m, ctx.m)
-        inner = factor_expectation(v.conj().T @ x, "first", ctx)
-    elif side == "first":
-        if not 0 <= j < 4**ctx.first.m:
-            raise ValueError(f"index {j} out of range for first-block level {ctx.first.m}")
-        v = walsh_matrix(j, ctx.m)
-        inner = factor_expectation(v.conj().T @ x, "second", ctx)
-    else:
+    if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return v @ inner
+    block, other, shift = (ctx.second, "first", 2 * ctx.first.m) if side == "second" else (ctx.first, "second", 0)
+    if not 0 <= j < 4**block.m:
+        raise ValueError(f"index {j} out of range for {side}-block level {block.m}")
+    v = walsh_matrix(j << shift, ctx.m)
+    return v @ factor_expectation(v.conj().T @ x, other, ctx)
 
 
 def fsum_partial(x, n: int, ctx: TensorContext, side: str = "second") -> np.ndarray:
@@ -173,7 +167,7 @@ def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
 def tensor_partial_sum_handle(n: int, ctx: TensorContext) -> OperatorHandle:
     """The shell partial sum Q_n as a handle; r is 1 + the largest joint index at shell position <= n."""
     _check_shell_position(n, ctx)
-    return CoefficientMaskHandle(_shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]")
+    return coefficient_mask_handle(_shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]")
 
 
 @dataclass

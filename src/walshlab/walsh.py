@@ -210,15 +210,28 @@ def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.nd
     return factor_synthesis(c, m, [factor_kernels(alpha, mode)[1]] * m)
 
 
-def analysis_stack(m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
-    """The analysis map as a (4**m, 2**m, 2**m) stack.
+def mask_terms(keep, m: int, alpha: float = 0.5, mode: str = PAPER) -> list[tuple[float, list[np.ndarray]]]:
+    """``keep_coefficients`` with the mask ``keep`` as factor-map terms (``linalg.factor_map_matrix``).
 
-    Coefficient k of x under ``system_coefficients`` is sum(a_k * x), entry
-    by entry.  Row k of the per-factor analysis kernel is a 2x2 block, and
-    a_k is the tensor product of the blocks picked by the base-4 digits of
-    k: one synthesis with the transposed kernel.
+    The mask splits into disjoint base-4 digit boxes d_0 x ... x d_(m-1) by
+    splitting on the top digit and grouping the digits with equal sub-masks
+    (a prefix mask gives at most m + 1).  A box is one term, with the map
+    S diag(d_i) A on factor i, (A, S) the factor kernels.
     """
-    return factor_synthesis(np.eye(4**m), m, [factor_kernels(alpha, mode)[0].T] * m)
+    analysis, synthesis = (kernel.real for kernel in factor_kernels(alpha, mode))
+
+    def boxes(mask: np.ndarray, level: int) -> list[list[np.ndarray]]:
+        if level == 0:
+            return [[]] if mask[0] else []
+        rows = mask.reshape(4, -1)  # row q: the sub-mask under top digit q
+        out = []
+        for row in {rows[q].tobytes(): rows[q] for q in range(4) if rows[q].any()}.values():
+            digits = (rows == row).all(axis=1)  # the top digits with this sub-mask
+            top = synthesis[:, digits] @ analysis[digits]
+            out += [lower + [top] for lower in boxes(row, level - 1)]
+        return out
+
+    return [(1.0, maps) for maps in boxes(np.asarray(keep, dtype=bool), m)]
 
 
 def keep_coefficients(x, keep, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:

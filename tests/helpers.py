@@ -3,9 +3,10 @@
 import numpy as np
 
 from walshlab.classical import classical_projection, dyadic_weights
-from walshlab.linalg import dagger, gaussian_matrix, schatten_norm, task_rng
+from walshlab.linalg import dagger, factor_synthesis, gaussian_matrix, schatten_norm, task_rng
 from walshlab.schauder import ASCENT_TOL, MAX_ASCENT_ITER
 from walshlab.states import LEFT, state_diagonal, weight_scale
+from walshlab.walsh import PAPER, factor_kernels, system_synthesize
 
 
 # The paper-mode per-factor kernels, typed out: the analysis kernel sends a
@@ -66,6 +67,21 @@ def probe_matrix(handle) -> np.ndarray:
     for k, unit in enumerate(matrix_units(handle.dim)):
         cols[:, k] = handle(unit).ravel()
     return cols
+
+
+def mask_product_matrix(keep, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
+    """Coefficient-mask oracle: the kept synthesis rows of the whole system, transposed, times its kept analysis rows.
+
+    Row k of the synthesis is w_k and of the analysis a_k, both flattened, so
+    column j is the synthesis of the kept coefficients of matrix unit j.  In
+    paper mode every entry is dyadic (+-1, +-1/2), so the sum is exact.
+    """
+    count = 4**m
+    synthesis = np.ascontiguousarray(system_synthesize(np.eye(count), m, alpha, mode).real).reshape(count, count)
+    # a_k is the tensor product of the rows of the analysis kernel picked by the digits of k.
+    analysis_rows = factor_synthesis(np.eye(count), m, [factor_kernels(alpha, mode)[0].T] * m)
+    analysis = np.ascontiguousarray(analysis_rows.real).reshape(count, count)
+    return (synthesis[keep].T @ analysis[keep]).astype(np.complex128)
 
 
 def factor_map_oracle(x: np.ndarray, maps: dict, m: int) -> np.ndarray:

@@ -516,3 +516,19 @@ def test_matrix_file_outside_levels_1_to_8_is_refused(tmp_path, capsys, command,
     assert "--in" in err and f"level-{m}" in err
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == [in_path.name]
+
+
+def test_parser_is_built_once_and_reused_without_state(tmp_path, capsys):
+    # One parser serves every command of a process; a flag given to one command
+    # must not leak into the next, which resolves --nmax itself.
+    assert cli.build_parser() is cli.build_parser()
+    base = "basis-constants --level 2 --alpha 0.3 --p 2 --method exact2".split()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run(capsys, *base, "--nmax", "3", "--out", str(first))[0] == 0
+    assert run(capsys, *base, "--out", str(second))[0] == 0
+    assert len(first.read_text().splitlines()) == 1 + 4
+    assert len(second.read_text().splitlines()) == 1 + 16
+    manifest = json.loads((tmp_path / "second.csv.manifest.json").read_text())
+    assert manifest["parameters"]["nmax"] == 4**2 - 1
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "basis-constants" in out

@@ -14,6 +14,7 @@ from walshlab.linalg import (
     _openblas,
     apply_factor_maps,
     dagger,
+    factor_map_matrix,
     gaussian_matrix,
     gns_inner,
     kron,
@@ -270,6 +271,29 @@ def test_task_gaussian_stack_equals_per_task_draws_bit_for_bit(d, seed, count):
     assert stack.shape == oracle.shape and stack.dtype == oracle.dtype
     assert np.array_equal(stack, oracle)
     assert stack.tobytes() == oracle.tobytes()
+
+
+def test_task_gaussian_stack_from_a_start_continues_the_draws():
+    whole = task_gaussian_stack(4, 11, 12)
+    assert task_gaussian_stack(4, 11, 5, start=7).tobytes() == whole[7:].tobytes()
+    assert task_gaussian_stack(4, 11, 0, start=3).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_factor_map_matrix_acts_as_its_factor_maps(m):
+    # Column k is the image of matrix unit k under sum_t c_t apply_factor_maps(., maps_t).
+    rng = task_rng(5, m)
+    terms = [(c, [rng.standard_normal((4, 4)) for _ in range(m)]) for c in (1.0, -0.5, 3.0)]
+    d = 1 << m
+    units = np.eye(d * d).reshape(d * d, d, d)
+    images = sum(c * apply_factor_maps(units, dict(enumerate(maps))) for c, maps in terms)
+    mat = factor_map_matrix(terms, m)
+    assert mat.dtype == np.complex128 and mat.shape == (d * d, d * d)
+    assert np.max(np.abs(mat - images.reshape(d * d, d * d).T)) <= 1e-12
+    x = random_matrix(m, 40 + m)
+    image = sum(c * factor_map_oracle(x, dict(enumerate(maps)), m) for c, maps in terms)
+    assert np.max(np.abs((mat @ x.ravel()).reshape(d, d) - image)) <= 1e-12
+    assert np.array_equal(factor_map_matrix([], m), np.zeros((d * d, d * d)))
 
 
 def test_importing_walshlab_leaves_blas_threads_alone():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_exact_norm_p2, matrix_units, probe_matrix, random_matrix, sequential_ascent
+from helpers import (
+    dense_exact_norm_p2,
+    mask_product_matrix,
+    matrix_units,
+    probe_matrix,
+    random_matrix,
+    sequential_ascent,
+)
 from walshlab import schauder
 from walshlab.classical import classical_norm_estimate, diag_index_map
 from walshlab.linalg import gaussian_matrix, task_rng
@@ -41,7 +48,7 @@ from walshlab.schauder import (
     subset_projection_handle,
     unconditionality_constant,
 )
-from walshlab.tensor import TensorContext, max_shell_index, tensor_partial_sum_handle
+from walshlab.tensor import TensorContext, max_shell_index, shell_index, tensor_partial_sum_handle
 from walshlab.walsh import MEANZERO, PAPER, walsh_coefficients, walsh_matrix
 
 W = walsh_matrix
@@ -116,6 +123,8 @@ def test_subset_projection_examples():
     assert np.allclose(subset_projection(x, [-1, 0], spec), cond_expect(x, 0, spec), atol=1e-12)
     with pytest.raises(ValueError):
         subset_projection(x, [4], spec)
+    with pytest.raises(ValueError, match="subset members must lie in"):
+        subset_projection_handle([0, 4], spec).matrix()
 
 
 def test_identity_residual_tracial_exhaustive_level2():
@@ -739,6 +748,64 @@ def test_handle_matrix_matches_probe_oracle():
         assert np.max(np.abs(handle.matrix() - oracle)) <= 1e-13, label
 
 
+def _library_handles(m, alpha):
+    """A handle of every structured constructor at level m (tensor sums on 1 + (m - 1) factors)."""
+    spec = StateSpec(alpha, m)
+    for n in sorted({0, 1, 5 % 4**m, 21 % 4**m, 4**m - 2, 4**m - 1}):
+        yield f"P[{n}] paper", partial_sum_handle(n, m, alpha)
+        yield f"P[{n}] meanzero", partial_sum_handle(n, m, alpha, MEANZERO)
+        yield f"decomposition[{n}]", decomposition_handle(n, spec)
+    for steps in ([], [-1], [0, 2 * m - 1], range(-1, 2 * m)):
+        yield f"T{list(steps)}", subset_projection_handle(steps, spec)
+    if m > 1:
+        ctx = TensorContext(StateSpec(alpha, 1), StateSpec(0.1, m - 1))
+        for n in (0, 3, max_shell_index(ctx)):
+            yield f"Q[{n}]", tensor_partial_sum_handle(n, ctx)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
+def test_library_handles_materialize_without_calling_their_map(alpha):
+    # Every handle the library builds carries its factor-map terms, so matrix()
+    # never probes the matrix-unit stack through the handle's callable.
+    for m in (1, 2, 3):
+        for label, handle in _library_handles(m, alpha):
+            calls = []
+            fn = handle._fn
+            handle._fn = lambda x, fn=fn: calls.append(x.shape) or fn(x)
+            mat = handle.matrix()
+            assert calls == [], (m, label)
+            handle._fn = fn
+            assert np.max(np.abs(mat - probe_matrix(handle))) <= 1e-15, (m, label)
+
+
+def test_paper_mask_matrices_equal_the_product_oracle_bit_for_bit():
+    for m in (1, 2, 3, 4):
+        for n in range(4**m):
+            keep = np.arange(4**m) <= n
+            assert partial_sum_handle(n, m, 0.3).matrix().tobytes() == mask_product_matrix(keep, m).tobytes(), (m, n)
+    for m1, m2 in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        ctx = TensorContext(StateSpec(0.3, m1), StateSpec(0.1, m2))
+        top = max_shell_index(ctx)
+        positions = np.array([shell_index(i, j) for j in range(4**m2) for i in range(4**m1)])
+        for n in sorted({0, 1, 2, 3, top // 3, top // 2, top - 1, top}):
+            oracle = mask_product_matrix(positions <= n, ctx.m)
+            assert tensor_partial_sum_handle(n, ctx).matrix().tobytes() == oracle.tobytes(), (m1, m2, n)
+
+
+def test_applied_handles_build_no_terms(monkeypatch):
+    # identity_residual only applies its handles: their terms are never built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("terms built for a handle that is only applied")
+
+    monkeypatch.setattr(schauder, "mask_terms", refuse)
+    monkeypatch.setattr(schauder, "difference_terms", refuse)
+    spec = StateSpec(0.3, 2)
+    for n in range(15):
+        identity_residual(walsh_matrix(n, 2), n, spec)
+    with pytest.raises(AssertionError, match="terms built"):
+        decomposition_handle(3, spec).matrix()
+
+
 def test_handle_call_maps_a_stack():
     spec = StateSpec(0.3, 2)
     xs = np.stack([random_matrix(2, 90 + k) for k in range(6)]).reshape(2, 3, 4, 4)
@@ -885,3 +952,21 @@ def test_sampled_sweep_takes_each_distinct_pattern_once(monkeypatch):
     assert rep.pattern_maxima is None
     assert counts[0] == probes  # the probes' own norms
     assert sum(counts) == rep.patterns * rep.probes + probes
+
+
+def test_sign_sweep_peak_does_not_grow_with_trials(monkeypatch):
+    # Each run draws its own Gaussian probes: once the runs are full, more
+    # trials mean more runs, not a larger probe stack.
+    ctx = LpContext(3.0, StateSpec(0.3, 1))
+    monkeypatch.setattr(schauder, "SIGN_BLOCK_BYTES", 1 << 14)  # runs of 128 probes at m = 1
+    unconditionality_constant(ctx, "exhaustive", trials=10, seed=3)  # first-use allocations
+    peaks = {}
+    for trials in (2_000, 8_000):
+        tracemalloc.start()
+        try:
+            unconditionality_constant(ctx, "exhaustive", trials=trials, seed=3)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # One stack of all the draws would add 64 B per probe: 384 KiB more at 8,000 trials.
+    assert peaks[8_000] <= peaks[2_000] + (16 << 10), peaks

@@ -24,7 +24,7 @@ from walshlab.states import (
     weighted_lp_norm,
 )
 from walshlab.tensor import TensorContext
-from walshlab.walsh import GENERATORS, block_support, walsh_coefficients, walsh_matrix
+from walshlab.walsh import GENERATORS, MEANZERO, block_support, keep_coefficients, walsh_coefficients, walsh_matrix
 
 ALPHAS = (0.5, 0.3, 0.1)
 PS = (1.0, 1.5, 2.0, 3.0, np.inf)
@@ -410,3 +410,34 @@ def test_compressed_top_value_matches_dense_similarity():
     value = compressed_top_value(mat, root, basis)
     assert abs(value - dense_top_value(mat, root)) <= 1e-13 * value
     assert compressed_top_value(np.zeros((n, n)), root, basis) == 0.0
+
+
+# The filtration is diagonal in the state's mean-zero basis: E_s keeps the
+# meanzero coefficients below 2**(s + 1) and D_s the block of step s.
+# Measured at most 6e-16 of max |x| (alpha = 1e-4, where cond(S) ~ 100).
+FILTRATION_MASK_TOL = 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
+def test_expectation_keeps_a_prefix_of_meanzero_coefficients(alpha):
+    for m in (1, 2, 3):
+        spec = StateSpec(alpha, m)
+        index = np.arange(4**m)
+        for seed in range(3):
+            x = random_matrix(m, 700 + seed)
+            for s in range(-1, 2 * m):
+                kept = keep_coefficients(x, index < 2 ** (s + 1), alpha, MEANZERO)
+                assert np.max(np.abs(cond_expect(x, s, spec) - kept)) <= FILTRATION_MASK_TOL * np.max(np.abs(x)), (m, s)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
+def test_difference_keeps_one_block_of_meanzero_coefficients(alpha):
+    for m in (1, 2, 3):
+        spec = StateSpec(alpha, m)
+        index = np.arange(4**m)
+        for seed in range(3):
+            x = random_matrix(m, 800 + seed)
+            for s in range(2 * m):
+                lo, hi = block_support(s)
+                kept = keep_coefficients(x, (index >= lo) & (index < hi), alpha, MEANZERO)
+                assert np.max(np.abs(mart_diff(x, s, spec) - kept)) <= FILTRATION_MASK_TOL * np.max(np.abs(x)), (m, s)

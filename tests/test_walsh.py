@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import PAPER_ANALYSIS_KERNEL, PAPER_SYNTHESIS_KERNEL, random_matrix
-from walshlab.linalg import dagger
+from walshlab.linalg import dagger, factor_map_matrix, task_rng
 from walshlab.walsh import (
     MEANZERO,
     PAPER,
@@ -13,6 +13,8 @@ from walshlab.walsh import (
     factor_codes,
     factor_kernels,
     gram_matrix,
+    keep_coefficients,
+    mask_terms,
     mean_zero_block,
     predicted_rademacher_sign,
     rademacher_block,
@@ -253,3 +255,24 @@ def test_transforms_map_stacks(mode):
     back = system_synthesize(c, m, 0.3, mode)
     assert back.shape == xs.shape
     assert np.max(np.abs(back - xs)) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", [PAPER, MEANZERO])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mask_terms_materialize_keep_coefficients(m, mode):
+    # Any mask splits into disjoint digit boxes: an overlap would count a
+    # coefficient twice and a gap drop one.
+    rng = task_rng(8, m)
+    count = 4**m
+    d = 1 << m
+    units = np.eye(count).reshape(count, d, d)
+    for keep in [rng.random(count) < 0.5 for _ in range(4)] + [np.arange(count) <= count // 3]:
+        images = keep_coefficients(units, keep, 0.3, mode).reshape(count, count).T
+        assert np.max(np.abs(factor_map_matrix(mask_terms(keep, m, 0.3, mode), m) - images)) <= 1e-14
+    assert mask_terms(np.zeros(count, dtype=bool), m) == []
+
+
+def test_prefix_masks_split_into_at_most_m_plus_1_boxes():
+    for m in (1, 2, 3, 4):
+        assert max(len(mask_terms(np.arange(4**m) <= n, m)) for n in range(4**m)) <= m + 1
+    assert len(mask_terms(np.ones(4**3, dtype=bool), 3)) == 1
