@@ -30,7 +30,6 @@ from .states import (
     LpContext,
     StateSpec,
     batched_weighted_lp_norm,
-    difference_terms,
     filtration_differences,
     lp_norm,
     orthonormal_stack,
@@ -40,6 +39,7 @@ from .states import (
     weighted_lp_gradient,
 )
 from .walsh import (
+    MEANZERO,
     PAPER,
     binary_digits,
     keep_coefficients,
@@ -54,9 +54,11 @@ MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
 # bounds its total work (every difference is combined under every pattern),
 # not any one allocation.
 MAX_SIGN_STACK_BYTES = 1 << 30
-# Bytes of every stack the sign sweep builds from a run of probes: their 2m
+# Bytes of each stack the sign sweep builds from a run of probes: their 2m
 # differences, and the combined stack of one block of patterns over them.
-# A norm holds a few more arrays of that size: the weighted copy, the Gram stack.
+# This bounds each stack, not the sweep's memory: the run also holds its
+# probes, the mean part and the norm intermediates (the weighted copy, the
+# Gram stack), about 6x this budget in all (101 MiB traced at m = 1).
 SIGN_BLOCK_BYTES = 1 << 24
 # Sign patterns drawn by a sampled sweep, before duplicates are dropped.
 SIGN_PATTERN_SAMPLES = 256
@@ -188,12 +190,14 @@ def _prefix_mask(n: int, m: int) -> np.ndarray:
 
 
 def coefficient_mask_handle(keep, m: int, alpha: float, mode: str, label: str) -> OperatorHandle:
-    """``keep_coefficients`` with the boolean mask ``keep`` (P_n, or a tensor shell sum Q_n) as a
-    handle with the terms ``mask_terms``; ``rows`` is the last kept index + 1."""
+    """``keep_coefficients`` with the boolean mask ``keep`` as a handle with the terms
+    ``mask_terms``; ``rows`` is the last kept index + 1, and 1 for an empty mask.
+    Every handle the library builds is one: P_n, a tensor shell sum Q_n, a
+    subset projection."""
     keep = np.asarray(keep, dtype=bool)
     return OperatorHandle(
         1 << m, functools.partial(keep_coefficients, keep=keep, alpha=alpha, mode=mode), label,
-        rows=int(np.flatnonzero(keep)[-1]) + 1, terms=functools.partial(mask_terms, keep, m, alpha, mode),
+        rows=int(np.flatnonzero(keep).max(initial=0)) + 1, terms=functools.partial(mask_terms, keep, m, alpha, mode),
     )
 
 
@@ -202,33 +206,33 @@ def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) ->
     return coefficient_mask_handle(_prefix_mask(n, m), m, alpha, mode, f"P[{n}]")
 
 
+def _subset_mask(steps, m: int) -> np.ndarray:
+    """The meanzero coefficients a subset projection keeps.  The filtration is
+    diagonal in the meanzero system: E_s keeps the indices below 2**(s+1), so
+    index k belongs to step k.bit_length() - 1 (index 0 to step -1), and
+    k.bit_length() is np.frexp's exponent of k."""
+    steps = sorted({int(s) for s in steps})
+    if not set(steps) <= set(range(-1, 2 * m)):
+        raise ValueError(f"subset members must lie in [-1, {2 * m - 1}], got {steps}")
+    kept = np.zeros(2 * m + 1, dtype=bool)  # by step + 1
+    kept[np.array(steps, dtype=int) + 1] = True
+    return kept[np.frexp(np.arange(4**m))[1]]
+
+
 def subset_projection(x, steps, spec: StateSpec) -> np.ndarray:
     """Sum of martingale differences over ``steps``; -1 adds the rho(x)*I term.
 
-    Acts on one matrix or matrix by matrix on a stack.
+    Acts on one matrix or matrix by matrix on a stack, as the meanzero
+    coefficient mask of the steps.
     """
-    x = as_stack(x)
-    steps = sorted(set(int(s) for s in steps))
-    if any(s < -1 or s > 2 * spec.m - 1 for s in steps):
-        raise ValueError(f"subset members must lie in [-1, {2 * spec.m - 1}], got {steps}")
-    mean_part, diff_parts = filtration_differences(x, -1, max(steps, default=-1), spec)
-    out = np.zeros_like(x)
-    for s in steps:
-        out += mean_part if s == -1 else diff_parts[s]
-    return out
+    return keep_coefficients(x, _subset_mask(steps, spec.m), spec.alpha, MEANZERO)
 
 
 def subset_projection_handle(steps, spec: StateSpec) -> OperatorHandle:
-    """The subset projection as a handle.
-
-    With top its largest step, E_top and every D_s below it map into
-    span{w_0 .. w_(r-1)} with r = 2**(top + 1), so r = 1 for steps {-1}.
-    """
-    steps = tuple(sorted(set(int(s) for s in steps)))
-    return OperatorHandle(
-        spec.dim, lambda x: subset_projection(x, steps, spec), f"T{list(steps)}",
-        rows=1 << (max(steps, default=-1) + 1), terms=lambda: difference_terms(steps, spec),
-    )
+    """The subset projection as a meanzero coefficient-mask handle; steps outside
+    [-1, 2m - 1] are refused here."""
+    steps = sorted({int(s) for s in steps})
+    return coefficient_mask_handle(_subset_mask(steps, spec.m), spec.m, spec.alpha, MEANZERO, f"T{steps}")
 
 
 def decomposition_handle(n: int, spec: StateSpec) -> OperatorHandle:

@@ -258,17 +258,6 @@ def expectation_maps(s: int, spec: StateSpec) -> dict[int, np.ndarray]:
     return maps
 
 
-def difference_terms(steps, spec: StateSpec) -> list[tuple[float, list[np.ndarray]]]:
-    """sum_(s in steps) D_s (D_-1 = E_-1) as factor-map terms (``linalg.factor_map_matrix``): it
-    telescopes into sum_t ([t in steps] - [t + 1 in steps]) E_t, and E_t is one
-    term, the ``expectation_maps`` on their factors and the identity elsewhere."""
-    if not set(steps) <= set(range(-1, 2 * spec.m)):
-        raise ValueError(f"subset members must lie in [-1, {2 * spec.m - 1}], got {sorted(steps)}")
-    weights = {t: float((t in steps) - (t + 1 in steps)) for t in range(-1, 2 * spec.m)}
-    maps = {t: expectation_maps(t, spec) for t, c in weights.items() if c}
-    return [(weights[t], [maps[t].get(j, np.eye(4)).real for j in range(spec.m)]) for t in maps]
-
-
 def cond_expect(x, s: int, spec: StateSpec) -> np.ndarray:
     """State-preserving conditional expectation onto filtration step s.
 
@@ -300,8 +289,7 @@ def filtration_differences(x, first: int, last: int, spec: StateSpec) -> tuple[n
     Returns (base, diffs): ``diffs[k]`` is D_(first+1+k) x, so diffs has shape
     (last - first,) + x.shape.  Only the previous expectation is kept alive
     next to the difference stack.  This is the one telescoped filtration:
-    the subset projections, the sign sweep and the two-block identity take
-    their differences from it.
+    the sign sweep and the two-block identity take their differences from it.
     """
     x = as_stack(x)
     base = cond_expect(x, first, spec)

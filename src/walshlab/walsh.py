@@ -120,12 +120,18 @@ def factor_kernels(alpha: float = 0.5, mode: str = PAPER) -> tuple[np.ndarray, n
 
     Column q of the synthesis kernel holds the (00, 01, 10, 11) entries of
     generator q; the analysis kernel is its inverse, and sends a factor's
-    entries to its coefficients against the generators.  Paper-mode
-    generators do not depend on the bias, so that mode does not read ``alpha``.
+    entries to its coefficients against the generators.  In closed form its
+    rows are (a, 0, 0, 1-a), sqrt(a(1-a)) (1, 0, 0, -1), (0, 1, 1, 0) / 2 and
+    (0, 1, -1, 0) / 2, with a = 1/2 in paper mode (the typed table, bit for
+    bit): no matrix is inverted.  Paper-mode generators do not depend on the
+    bias, so that mode does not read ``alpha``.
     """
-    blocks = generator_blocks(alpha if mode == MEANZERO else 0.5, mode)
-    synthesis = np.column_stack([b.reshape(4) for b in blocks])
-    analysis = np.linalg.inv(synthesis)
+    a = _check_alpha(alpha) if mode == MEANZERO else 0.5
+    synthesis = np.column_stack([b.reshape(4) for b in generator_blocks(a, mode)])
+    root = np.sqrt(a * (1 - a))
+    analysis = np.array(
+        [[a, 0, 0, 1 - a], [root, 0, 0, -root], [0, 0.5, 0.5, 0], [0, 0.5, -0.5, 0]], dtype=np.complex128
+    )
     analysis.flags.writeable = synthesis.flags.writeable = False
     return analysis, synthesis
 

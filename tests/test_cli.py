@@ -65,6 +65,17 @@ def test_verify_suites_pass(capsys):
     assert run(capsys, "verify", "--suite", "blocks", "--level", "2", "--alpha", "0.5")[0] == 0
 
 
+def test_verify_walsh_orthonormality_reads_the_walsh_matrices(capsys, monkeypatch):
+    # One wrong Walsh matrix (w_3 replaced by the unitary w_2) must fail the
+    # orthonormality row, which is taken from the suite's own Walsh stack.
+    real = cli.walsh_matrix
+    monkeypatch.setattr(cli, "walsh_matrix", lambda n, m, *args: real(2 if n == 3 else n, m, *args))
+    code, out, _ = run(capsys, "verify", "--suite", "walsh", "--level", "1", "--alpha", "0.3")
+    assert code == 1
+    row = next(line for line in out.splitlines() if "orthonormality" in line)
+    assert row.startswith("FAIL"), row
+
+
 def test_verify_identity_tracial_asserts(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "identity", "--level", "2", "--alpha", "0.5",

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FILTRATION_MASK_TOL,
     dense_exact_norm_p2,
     mask_product_matrix,
     matrix_units,
     probe_matrix,
     random_matrix,
     sequential_ascent,
+    telescoped_subset_projection,
 )
 from walshlab import schauder
 from walshlab.classical import classical_norm_estimate, diag_index_map
@@ -36,6 +39,7 @@ from walshlab.schauder import (
     MAX_SIGN_STACK_BYTES,
     OperatorHandle,
     basis_constant_sweep,
+    coefficient_mask_handle,
     decomposition_handle,
     estimate_norm_lp,
     exact_norm_p2,
@@ -123,8 +127,52 @@ def test_subset_projection_examples():
     assert np.allclose(subset_projection(x, [-1, 0], spec), cond_expect(x, 0, spec), atol=1e-12)
     with pytest.raises(ValueError):
         subset_projection(x, [4], spec)
-    with pytest.raises(ValueError, match="subset members must lie in"):
-        subset_projection_handle([0, 4], spec).matrix()
+
+
+def test_subset_projection_handle_refuses_steps_when_built():
+    # A step outside [-1, 2m - 1] is refused by the constructor, before any
+    # rows, terms or application.
+    spec = StateSpec(0.3, 2)
+    for steps in ([-2], [0, 4], [-3, 1]):
+        with pytest.raises(ValueError, match=r"subset members must lie in \[-1, 3\]"):
+            subset_projection_handle(steps, spec)
+
+
+def test_empty_subset_projection_is_the_zero_map():
+    # The empty mask keeps no coefficient: r = 1 and a zero matrix, both modes of the mask handle.
+    spec = StateSpec(0.3, 2)
+    handle = subset_projection_handle([], spec)
+    assert handle.rows == 1
+    assert not np.any(handle.matrix())
+    assert not np.any(handle(random_matrix(2, 22)))
+    for mode in (PAPER, MEANZERO):
+        empty = coefficient_mask_handle(np.zeros(16, dtype=bool), 2, 0.3, mode, "empty")
+        assert empty.rows == 1 and not np.any(empty.matrix())
+    assert exact_norm_p2(handle, spec).value == 0.0
+
+
+def _step_subsets(m: int):
+    """Every subset of the steps -1..2m-1 at m <= 2, and 20 seeded subsets at m = 3."""
+    steps = range(-1, 2 * m)
+    if m <= 2:
+        return [c for r in range(len(steps) + 1) for c in itertools.combinations(steps, r)]
+    rng = task_rng(5)
+    return [tuple(s for s in steps if rng.random() < 0.5) for _ in range(20)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
+def test_subset_projection_mask_matches_the_telescoped_filtration(alpha):
+    # A subset projection is a meanzero coefficient mask; the telescoped sum of
+    # its differences is the oracle, applied and materialized (matrix units, max |x| = 1).
+    for m in (1, 2, 3):
+        spec = StateSpec(alpha, m)
+        units = schauder.matrix_unit_stack(spec.dim)
+        x = random_matrix(m, 900 + m)
+        for steps in _step_subsets(m):
+            got = subset_projection(x, steps, spec)
+            assert np.max(np.abs(got - telescoped_subset_projection(x, steps, spec))) <= FILTRATION_MASK_TOL * np.max(np.abs(x)), (m, steps)
+            oracle = telescoped_subset_projection(units, steps, spec).reshape(len(units), -1).T
+            assert np.max(np.abs(subset_projection_handle(steps, spec).matrix() - oracle)) <= FILTRATION_MASK_TOL, (m, steps)
 
 
 def test_identity_residual_tracial_exhaustive_level2():
@@ -308,6 +356,16 @@ def test_decomposition_operators_have_p2_norm_one(alpha):
             for side in ("left", "right"):
                 value = exact_norm_p2(decomposition_handle(n, spec), spec, side).value
                 assert abs(value - 1.0) <= 1e-14, (m, n, side, value)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+def test_meanzero_identity_mask_has_p2_norm_one(alpha):
+    # P_(4**m - 1) = I from its mask terms S A per factor, with the closed-form analysis kernel.
+    for m in (1, 2, 3, 4):
+        spec = StateSpec(alpha, m)
+        for side in ("left", "right"):
+            value = exact_norm_p2(partial_sum_handle(4**m - 1, m, alpha, MEANZERO), spec, side).value
+            assert abs(value - 1.0) <= 2e-15, (m, side, value)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1e-4])
@@ -798,7 +856,6 @@ def test_applied_handles_build_no_terms(monkeypatch):
         raise AssertionError("terms built for a handle that is only applied")
 
     monkeypatch.setattr(schauder, "mask_terms", refuse)
-    monkeypatch.setattr(schauder, "difference_terms", refuse)
     spec = StateSpec(0.3, 2)
     for n in range(15):
         identity_residual(walsh_matrix(n, 2), n, spec)

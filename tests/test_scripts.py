@@ -44,3 +44,22 @@ def test_bench_exact2_reproduces_its_committed_record(tmp_path):
     assert [[case[k] for k in identity] for case in rerun] == [[case[k] for k in identity] for case in committed]
     for new, old in zip(rerun, committed):
         assert math.isclose(new["value"], old["value"], rel_tol=1e-12, abs_tol=0.0), new
+
+
+def test_sweep_residuals_writes_its_table(tmp_path):
+    # Level 1 at two biases: 3 truncation indices x 2 sides x 2 biases, and the
+    # tracial residuals vanish, through the decomposition operators' apply path.
+    out = tmp_path / "residuals.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_residuals.py"), "--level", "1", "--alphas", "0.5", "0.3",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *lines = out.read_text().splitlines()
+    assert header == "n,p,alpha,side,method,value,converged"
+    assert len(lines) == 12
+    rows = [line.split(",") for line in lines]
+    tracial = [float(row[5]) for row in rows if float(row[2]) == 0.5]
+    assert len(tracial) == 6 and max(tracial) <= 1e-12

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dense_top_value, random_matrix
+from helpers import FILTRATION_MASK_TOL, dense_top_value, random_matrix
 from walshlab.linalg import compressed_top_value, gns_inner, schatten_norm
 from walshlab.states import (
     LpContext,
@@ -410,12 +410,6 @@ def test_compressed_top_value_matches_dense_similarity():
     value = compressed_top_value(mat, root, basis)
     assert abs(value - dense_top_value(mat, root)) <= 1e-13 * value
     assert compressed_top_value(np.zeros((n, n)), root, basis) == 0.0
-
-
-# The filtration is diagonal in the state's mean-zero basis: E_s keeps the
-# meanzero coefficients below 2**(s + 1) and D_s the block of step s.
-# Measured at most 6e-16 of max |x| (alpha = 1e-4, where cond(S) ~ 100).
-FILTRATION_MASK_TOL = 1e-15
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])

@@ -148,13 +148,15 @@ def test_paper_factor_kernels_equal_the_typed_table():
         factor_kernels(0.9, MEANZERO)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-4])
+@pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-4, 1e-6])
 def test_meanzero_factor_kernels_are_inverse(alpha):
     analysis, synthesis = factor_kernels(alpha, MEANZERO)
-    # An LU inverse is good to about eps * cond(S): 3e-16 at 0.3, 2e-14 at 1e-4,
-    # where the mean-zero column carries sqrt((1-a)/a) ~ 100.
-    bound = np.finfo(np.float64).eps * np.linalg.cond(synthesis)
+    # The closed-form analysis kernel is inverse to a few ulps at every bias, though
+    # the mean-zero column carries sqrt((1-a)/a) ~ 1000 at 1e-6; an LU inverse
+    # read 1.0e-14 at 1e-4 and 8.2e-14 at 1e-6.
+    bound = 4 * np.finfo(np.float64).eps
     assert np.max(np.abs(analysis @ synthesis - np.eye(4))) <= bound
+    assert np.max(np.abs(synthesis @ analysis - np.eye(4))) <= bound
     for q, block in enumerate(rademacher_block(q & 1, q >> 1, alpha, MEANZERO) for q in range(4)):
         assert np.array_equal(synthesis[:, q], block.ravel())
     assert not analysis.flags.writeable and not synthesis.flags.writeable
