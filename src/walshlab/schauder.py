@@ -9,7 +9,6 @@ biases this module measures residuals instead of asserting them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +41,8 @@ from .walsh import (
     MEANZERO,
     PAPER,
     binary_digits,
+    coefficient_mask,
+    factor_kernels,
     keep_coefficients,
     mask_terms,
     walsh_matrix,
@@ -82,59 +83,52 @@ def matrix_unit_stack(dim: int) -> np.ndarray:
 
 
 class OperatorHandle:
-    """Linear map on the 4**m dimensional space of 2**m matrices.
+    """Coefficient mask on the level-m system: a linear map on the 4**m
+    dimensional space of 2**m matrices.
 
-    Wraps a callable that maps a (..., d, d) stack matrix by matrix; calling
-    the handle on one matrix or on a stack gives the image of each.
-    ``matrix()`` materializes the action in the matrix-unit basis (row-major
-    vec convention) for levels m <= 4.  ``rows`` is r, the number of leading
-    Walsh matrices whose span holds the range: the constructor that knows the
-    operator's structure sets it, every other handle takes all 4**m.  Those
-    constructors also set ``terms``, a callable that gives the map as terms of
-    ``linalg.factor_map_matrix``; ``matrix()`` of a handle without them probes.
+    Every operator measured here is one: P_n in both modes, a tensor shell sum
+    Q_n, a subset projection.  Calling the handle on one matrix or on a stack
+    gives ``keep_coefficients`` of each.  ``matrix()`` materializes the map in
+    the matrix-unit basis (row-major vec convention) from its ``mask_terms``,
+    for levels m <= 4.  ``rows`` is r, the number of leading Walsh matrices
+    whose span holds the range: the last kept index + 1, and 1 for an empty
+    mask.  ``from_matrix`` wraps an arbitrary matrix instead; it has no mask
+    and takes all 4**m rows.
     """
 
-    def __init__(self, dim: int, fn, label: str = "", rows: int | None = None, terms=None):
-        self.dim = int(dim)
-        self._fn = fn
-        self.label = label
-        self.rows = self.dim * self.dim if rows is None else int(rows)
-        self.terms = terms
+    def __init__(self, keep, m: int, alpha: float = 0.5, mode: str = PAPER, label: str = ""):
+        self.keep = coefficient_mask(keep, m)
+        factor_kernels(alpha, mode)  # refuses an unknown mode or a meanzero bias outside (0, 1/2]
+        self.m, self.alpha, self.mode, self.label = m, alpha, mode, label
+        self.dim = 1 << m
+        self.rows = int(np.flatnonzero(self.keep).max(initial=0)) + 1
         self._matrix = None
 
     def __call__(self, x) -> np.ndarray:
-        return self._fn(as_stack(x))
-
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorHandle":
-        return cls(dim, lambda x: x.copy(), "id", terms=lambda: [(1.0, [np.eye(4)] * level_of_dim(dim))])
+        x = as_stack(x)
+        if self.keep is None:
+            return (x.reshape(x.shape[:-2] + (-1,)) @ self._matrix.T).reshape(x.shape)
+        return keep_coefficients(x, self.keep, self.alpha, self.mode)
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray, label: str = "explicit") -> "OperatorHandle":
         mat = np.asarray(mat, dtype=np.complex128)
-        dim = int(round(math.isqrt(mat.shape[0])))
+        dim = math.isqrt(mat.shape[0])
         if mat.shape != (dim * dim, dim * dim):
             raise ValueError(f"superoperator shape {mat.shape} is not (d^2, d^2)")
-        handle = cls(
-            dim, lambda x: (x.reshape(x.shape[:-2] + (dim * dim,)) @ mat.T).reshape(x.shape), label
-        )
-        handle._matrix = mat
+        handle = cls.__new__(cls)
+        handle.keep, handle.m, handle.alpha, handle.mode, handle.label = None, level_of_dim(dim), None, None, label
+        handle.dim, handle.rows, handle._matrix = dim, dim * dim, mat
         return handle
 
     def matrix(self) -> np.ndarray:
         """Explicit 4**m x 4**m matrix in the matrix-unit basis."""
         if self._matrix is None:
-            m = level_of_dim(self.dim)
-            if m > MAX_EXPLICIT_LEVEL:
+            if self.m > MAX_EXPLICIT_LEVEL:
                 raise ValueError(
-                    f"refusing to materialize a superoperator at level {m} > {MAX_EXPLICIT_LEVEL}"
+                    f"refusing to materialize a superoperator at level {self.m} > {MAX_EXPLICIT_LEVEL}"
                 )
-            if self.terms is not None:
-                self._matrix = factor_map_matrix(self.terms(), m)
-            else:
-                # Row k of the image stack is column k: the image of matrix unit k.
-                d2 = self.dim * self.dim
-                self._matrix = self(matrix_unit_stack(self.dim)).reshape(d2, d2).T.copy()
+            self._matrix = factor_map_matrix(mask_terms(self.keep, self.m, self.alpha, self.mode), self.m)
         return self._matrix
 
 
@@ -189,21 +183,9 @@ def _prefix_mask(n: int, m: int) -> np.ndarray:
     return np.arange(4**m) <= n
 
 
-def coefficient_mask_handle(keep, m: int, alpha: float, mode: str, label: str) -> OperatorHandle:
-    """``keep_coefficients`` with the boolean mask ``keep`` as a handle with the terms
-    ``mask_terms``; ``rows`` is the last kept index + 1, and 1 for an empty mask.
-    Every handle the library builds is one: P_n, a tensor shell sum Q_n, a
-    subset projection."""
-    keep = np.asarray(keep, dtype=bool)
-    return OperatorHandle(
-        1 << m, functools.partial(keep_coefficients, keep=keep, alpha=alpha, mode=mode), label,
-        rows=int(np.flatnonzero(keep).max(initial=0)) + 1, terms=functools.partial(mask_terms, keep, m, alpha, mode),
-    )
-
-
 def partial_sum_handle(n: int, m: int, alpha: float = 0.5, mode: str = PAPER) -> OperatorHandle:
     """P_n as a handle; n must lie in [0, 4**m)."""
-    return coefficient_mask_handle(_prefix_mask(n, m), m, alpha, mode, f"P[{n}]")
+    return OperatorHandle(_prefix_mask(n, m), m, alpha, mode, f"P[{n}]")
 
 
 def _subset_mask(steps, m: int) -> np.ndarray:
@@ -232,7 +214,7 @@ def subset_projection_handle(steps, spec: StateSpec) -> OperatorHandle:
     """The subset projection as a meanzero coefficient-mask handle; steps outside
     [-1, 2m - 1] are refused here."""
     steps = sorted({int(s) for s in steps})
-    return coefficient_mask_handle(_subset_mask(steps, spec.m), spec.m, spec.alpha, MEANZERO, f"T{steps}")
+    return OperatorHandle(_subset_mask(steps, spec.m), spec.m, spec.alpha, MEANZERO, f"T{steps}")
 
 
 def decomposition_handle(n: int, spec: StateSpec) -> OperatorHandle:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import apply_factor_maps, as_matrix
-from .schauder import OperatorHandle, coefficient_mask_handle
+from .schauder import OperatorHandle
 from .states import (
     LEFT,
     LpContext,
@@ -167,7 +167,7 @@ def tensor_partial_sum(x, n: int, ctx: TensorContext) -> np.ndarray:
 def tensor_partial_sum_handle(n: int, ctx: TensorContext) -> OperatorHandle:
     """The shell partial sum Q_n as a handle; r is 1 + the largest joint index at shell position <= n."""
     _check_shell_position(n, ctx)
-    return coefficient_mask_handle(_shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]")
+    return OperatorHandle(_shell_positions(ctx) <= n, ctx.m, 0.5, PAPER, f"Q[{n}]")
 
 
 @dataclass

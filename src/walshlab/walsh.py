@@ -225,19 +225,31 @@ def mask_terms(keep, m: int, alpha: float = 0.5, mode: str = PAPER) -> list[tupl
     S diag(d_i) A on factor i, (A, S) the factor kernels.
     """
     analysis, synthesis = (kernel.real for kernel in factor_kernels(alpha, mode))
+    memo: dict[bytes, list] = {}  # the lower sub-masks repeat; a mask's length fixes its level
 
     def boxes(mask: np.ndarray, level: int) -> list[list[np.ndarray]]:
         if level == 0:
             return [[]] if mask[0] else []
-        rows = mask.reshape(4, -1)  # row q: the sub-mask under top digit q
-        out = []
-        for row in {rows[q].tobytes(): rows[q] for q in range(4) if rows[q].any()}.values():
-            digits = (rows == row).all(axis=1)  # the top digits with this sub-mask
-            top = synthesis[:, digits] @ analysis[digits]
-            out += [lower + [top] for lower in boxes(row, level - 1)]
-        return out
+        key = mask.tobytes()
+        if key not in memo:
+            rows = mask.reshape(4, -1)  # row q: the sub-mask under top digit q
+            nonempty = rows.any(axis=1).tolist()
+            out = memo[key] = []
+            for row in {rows[q].tobytes(): rows[q] for q in range(4) if nonempty[q]}.values():
+                digits = (rows == row).all(axis=1)  # the top digits with this sub-mask
+                top = synthesis[:, digits] @ analysis[digits]
+                out += [lower + [top] for lower in boxes(row, level - 1)]
+        return memo[key]
 
     return [(1.0, maps) for maps in boxes(np.asarray(keep, dtype=bool), m)]
+
+
+def coefficient_mask(keep, m: int) -> np.ndarray:
+    """``keep`` as a boolean array, refused unless it has one entry per level-m index."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (4**m,):
+        raise ValueError(f"coefficient mask of shape {keep.shape} does not match level m={m}")
+    return keep
 
 
 def keep_coefficients(x, keep, alpha: float = 0.5, mode: str = PAPER) -> np.ndarray:
@@ -249,9 +261,7 @@ def keep_coefficients(x, keep, alpha: float = 0.5, mode: str = PAPER) -> np.ndar
     """
     x = as_stack(x)
     m = level_of_dim(x.shape[-1])
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != (4**m,):
-        raise ValueError(f"coefficient mask of shape {keep.shape} does not match level m={m}")
+    keep = coefficient_mask(keep, m)
     return system_synthesize(np.where(keep, system_coefficients(x, alpha, mode), 0.0), m, alpha, mode)
 
 

@@ -67,7 +67,8 @@ def probe_matrix(handle) -> np.ndarray:
     """Materialisation oracle: apply the handle to one matrix unit at a time.
 
     Column k is the image of matrix unit k (row-major vec convention), as in
-    ``OperatorHandle.matrix``, which maps all units in one stacked call.
+    ``OperatorHandle.matrix``, which builds it from the mask's factor-map
+    terms instead.
     """
     d2 = handle.dim * handle.dim
     cols = np.empty((d2, d2), dtype=np.complex128)

@@ -39,7 +39,6 @@ from walshlab.schauder import (
     MAX_SIGN_STACK_BYTES,
     OperatorHandle,
     basis_constant_sweep,
-    coefficient_mask_handle,
     decomposition_handle,
     estimate_norm_lp,
     exact_norm_p2,
@@ -79,11 +78,11 @@ def test_handle_functional_and_explicit_agree():
 
 def test_handle_algebra():
     x = random_matrix(2, 5)
-    assert np.allclose(OperatorHandle.identity(4)(x), x)
+    assert np.allclose(partial_sum_handle(15, 2)(x), x)
 
 
 def test_handle_materialization_cap():
-    handle = OperatorHandle.identity(1 << 5)
+    handle = partial_sum_handle(4**5 - 1, 5)
     with pytest.raises(ValueError):
         handle.matrix()
 
@@ -146,7 +145,7 @@ def test_empty_subset_projection_is_the_zero_map():
     assert not np.any(handle.matrix())
     assert not np.any(handle(random_matrix(2, 22)))
     for mode in (PAPER, MEANZERO):
-        empty = coefficient_mask_handle(np.zeros(16, dtype=bool), 2, 0.3, mode, "empty")
+        empty = OperatorHandle(np.zeros(16, dtype=bool), 2, 0.3, mode, "empty")
         assert empty.rows == 1 and not np.any(empty.matrix())
     assert exact_norm_p2(handle, spec).value == 0.0
 
@@ -240,7 +239,7 @@ def test_identity_residual_stack_equals_per_matrix_loop(m):
 
 def test_exact_norm_identity_and_expectations():
     spec = StateSpec(0.3, 2)
-    assert abs(exact_norm_p2(OperatorHandle.identity(4), spec).value - 1) < 1e-12
+    assert abs(exact_norm_p2(partial_sum_handle(15, 2), spec).value - 1) < 1e-12
     for alpha in (0.5, 0.3, 0.1):
         sp = StateSpec(alpha, 2)
         for s in range(-1, 4):
@@ -299,7 +298,7 @@ def test_exact_norm_p2_of_full_range_and_zero_maps():
     # Explicit and identity handles need no special case: their r is 4**m.
     spec = StateSpec(1e-2, 2)
     mat = gaussian_matrix(16, task_rng(31))
-    for handle in (OperatorHandle.from_matrix(mat), OperatorHandle.identity(4)):
+    for handle in (OperatorHandle.from_matrix(mat), partial_sum_handle(15, 2)):
         for side in ("left", "right"):
             oracle = dense_exact_norm_p2(handle, spec, side)
             assert abs(exact_norm_p2(handle, spec, side).value - oracle) <= 1e-13 * oracle
@@ -343,7 +342,7 @@ def test_declared_rows_hold_the_image(alpha):
     assert decomposition_handle(0, StateSpec(alpha, 2)).rows == 1
     assert decomposition_handle(5, StateSpec(alpha, 2)).rows == 8
     mat = gaussian_matrix(16, task_rng(32))
-    for handle in (OperatorHandle.from_matrix(mat), OperatorHandle.identity(4), OperatorHandle(4, lambda x: x)):
+    for handle in (OperatorHandle.from_matrix(mat), partial_sum_handle(15, 2)):
         assert handle.rows == 16
 
 
@@ -412,7 +411,7 @@ def test_p2_partial_sum_norms_follow_the_digit_rule(alpha):
 
 def test_exact_norm_rejects_degenerate_weights():
     with pytest.raises(ValueError):
-        exact_norm_p2(OperatorHandle.identity(4), StateSpec(1e-200, 2))  # alpha**2 underflows to 0
+        exact_norm_p2(partial_sum_handle(15, 2), StateSpec(1e-200, 2))  # alpha**2 underflows to 0
 
 
 def test_level1_projection_norms_from_gram_oracle():
@@ -525,7 +524,7 @@ def test_estimator_matches_exact_at_p2():
 def test_estimator_identity_all_exponents():
     spec = StateSpec(0.3, 2)
     for p in (1.0, 1.5, 2.0, 3.0, np.inf):
-        rep = estimate_norm_lp(OperatorHandle.identity(4), LpContext(p, spec), restarts=4, seed=2)
+        rep = estimate_norm_lp(partial_sum_handle(15, 2), LpContext(p, spec), restarts=4, seed=2)
         assert abs(rep.value - 1) < 1e-6, p
 
 
@@ -549,24 +548,6 @@ def test_estimator_is_lower_bound_of_exact2(seed):
         assert est.value <= exact + 1e-4
         if est.converged:
             assert est.value >= exact - 1e-4
-
-
-def test_estimate_norm_lp_calls_its_handle_once():
-    # The ascent climbs on T.matrix(): one handle call on the matrix-unit stack.
-    spec = StateSpec(0.3, 2)
-    for p in (1.5, 3.0, np.inf):
-        for side in ("left", "right"):
-            base = partial_sum_handle(5, 2, 0.3)
-            shapes = []
-
-            def counted(x, base=base, shapes=shapes):
-                shapes.append(x.shape)
-                return base(x)
-
-            handle = OperatorHandle(base.dim, counted, "counted")
-            rep = estimate_norm_lp(handle, LpContext(p, spec, side), restarts=3, seed=4)
-            assert rep.value > 0.0
-            assert shapes == [(16, 4, 4)], (p, side, len(shapes))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -662,7 +643,7 @@ def test_ascent_skips_zero_draws():
 
 def test_estimator_rejections():
     spec = StateSpec(0.3, 1)
-    handle = OperatorHandle.identity(2)
+    handle = partial_sum_handle(3, 1)
     with pytest.raises(ValueError):
         estimate_norm_lp(handle, LpContext(2.0, spec), restarts=0)
 
@@ -822,18 +803,31 @@ def _library_handles(m, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
-def test_library_handles_materialize_without_calling_their_map(alpha):
-    # Every handle the library builds carries its factor-map terms, so matrix()
-    # never probes the matrix-unit stack through the handle's callable.
+def test_library_handles_materialize_without_calling_their_map(alpha, monkeypatch):
+    # matrix() builds every library handle's matrix from its mask's factor-map
+    # terms, never by applying the handle to the matrix units.
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix() applied the handle")
+
     for m in (1, 2, 3):
         for label, handle in _library_handles(m, alpha):
-            calls = []
-            fn = handle._fn
-            handle._fn = lambda x, fn=fn: calls.append(x.shape) or fn(x)
-            mat = handle.matrix()
-            assert calls == [], (m, label)
-            handle._fn = fn
+            with monkeypatch.context() as patch:
+                patch.setattr(schauder, "keep_coefficients", refuse)
+                mat = handle.matrix()
             assert np.max(np.abs(mat - probe_matrix(handle))) <= 1e-15, (m, label)
+
+
+def test_malformed_handle_is_refused_when_built():
+    # A mask of the wrong length, an unknown mode or a meanzero bias outside
+    # (0, 1/2] fails in the constructor, before rows, apply or matrix().
+    for keep, m in ((np.ones(64, dtype=bool), 2), (np.ones((4, 4), dtype=bool), 2), (np.ones(16, dtype=bool), 1)):
+        with pytest.raises(ValueError, match=f"coefficient mask of shape .* does not match level m={m}"):
+            OperatorHandle(keep, m, 0.3, PAPER)
+    with pytest.raises(ValueError, match="unknown generator mode 'tracial'"):
+        OperatorHandle(np.ones(16, dtype=bool), 2, 0.3, "tracial")
+    for alpha in (0.0, 0.7, -0.2):
+        with pytest.raises(ValueError, match="bias must lie in"):
+            OperatorHandle(np.ones(16, dtype=bool), 2, alpha, MEANZERO)
 
 
 def test_paper_mask_matrices_equal_the_product_oracle_bit_for_bit():

@@ -1,5 +1,5 @@
 """Every script under scripts/ starts: ``--help`` exits 0, so a stale import fails here.
-One level-scaling record is rerun and held to its committed values."""
+Two level-scaling records are rerun and held to their committed values."""
 
 import json
 import math
@@ -44,6 +44,30 @@ def test_bench_exact2_reproduces_its_committed_record(tmp_path):
     assert [[case[k] for k in identity] for case in rerun] == [[case[k] for k in identity] for case in committed]
     for new, old in zip(rerun, committed):
         assert math.isclose(new["value"], old["value"], rel_tol=1e-12, abs_tol=0.0), new
+
+
+def test_bench_ascent_reproduces_its_committed_record(tmp_path):
+    # The seeded ascents are deterministic, and they climb on handle.matrix():
+    # a change to the materialized matrices or to the iteration moves a value,
+    # a round count or a norm-call count of the committed record.
+    out = tmp_path / "ascent.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_ascent.py"), "--runs", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    committed = json.loads((ROOT / "BENCH_ascent.json").read_text())["cases"]
+    rerun = json.loads(out.read_text())["cases"]
+    measured = ("min_s", "median_s", "value", "rounds", "norm_calls")
+
+    def identity(case):
+        return {k: v for k, v in case.items() if k not in measured}
+
+    assert [identity(case) for case in rerun] == [identity(case) for case in committed]
+    for new, old in zip(rerun, committed):
+        assert math.isclose(new["value"], old["value"], rel_tol=1e-12, abs_tol=0.0), new
+        assert (new["rounds"], new["norm_calls"]) == (old["rounds"], old["norm_calls"]), new
 
 
 def test_sweep_residuals_writes_its_table(tmp_path):
