@@ -11,11 +11,14 @@ record holds the minimum and median seconds of the whole sweep, of its probe
 draws (``task_gaussian_stack``), of its martingale differences
 (``filtration_differences``, one call per probe run) and of its norms
 (``batched_weighted_lp_norm``, the probes' own norms and every pattern
-block), and the distinct patterns evaluated and the probes kept.
+block), and the distinct patterns evaluated and the probes kept.  One more
+untimed run under ``tracemalloc`` gives the sweep's traced peak
+(``traced_peak_bytes``), so the record shows memory next to time.
 """
 
 import functools
 import sys
+import tracemalloc
 
 from levelbench import main, patched, time_case, timing
 from walshlab import schauder
@@ -36,6 +39,16 @@ LAYERS = {
 }
 
 
+def traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` traces over one call of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def cases(runs: int):
     for mode, m, p, trials in CASES:
         ctx = LpContext(p, StateSpec(ALPHA, m))
@@ -44,7 +57,8 @@ def cases(runs: int):
         with patched([(schauder, name, timing(splits[key])) for name, key in LAYERS.items()]):
             times, report = time_case(sweep, runs, "sweep_", splits)
         yield {"mode": mode, "m": m, "p": p, "trials": trials,
-               "patterns": report.patterns, "probes": report.probes, **times}
+               "patterns": report.patterns, "probes": report.probes, **times,
+               "traced_peak_bytes": traced_peak(sweep)}
 
 
 if __name__ == "__main__":

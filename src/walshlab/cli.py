@@ -47,12 +47,11 @@ from .schauder import (
     ESTIMATE,
     EXACT2,
     MAX_EXPLICIT_LEVEL,
-    MAX_SIGN_STACK_BYTES,
     basis_constant_sweep,
+    check_sign_sweep_size,
     estimate_norms_lp,
     exact_norm_p2,
     identity_residual,
-    sign_sweep_stack_bytes,
     unconditionality_constant,
 )
 from .classical import classical_norm_estimates, classical_norm_exact2
@@ -498,13 +497,7 @@ def _cmd_basis_constants(args, argv) -> int:
 
 
 def _cmd_unconditionality(args, argv) -> int:
-    need = sign_sweep_stack_bytes(args.level, args.trials)
-    if need > MAX_SIGN_STACK_BYTES:
-        raise ValueError(
-            f"--level {args.level} with --trials {args.trials} takes {need / 2**30:.2f} GiB of "
-            f"martingale differences, each combined under every sign pattern, above the "
-            f"{MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB work limit; lower --level or --trials"
-        )
+    check_sign_sweep_size(args.level, args.trials, "--level", "--trials")
     spec = StateSpec(args.alpha, args.level)
     report = unconditionality_constant(
         LpContext(args.p, spec),

@@ -45,8 +45,8 @@ from .walsh import (
     factor_kernels,
     keep_coefficients,
     mask_terms,
+    system_synthesize,
     walsh_matrix,
-    walsh_stack,
 )
 
 MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
@@ -57,10 +57,10 @@ MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
 MAX_SIGN_STACK_BYTES = 1 << 30
 # Bytes of each stack the sign sweep builds from a run of probes: their 2m
 # differences, and the combined stack of one block of patterns over them.
-# This bounds each stack, not the sweep's memory: the run also holds its
-# probes, the mean part and the norm intermediates (the weighted copy, the
-# Gram stack), about 6x this budget in all (101 MiB traced at m = 1).
-SIGN_BLOCK_BYTES = 1 << 24
+# Cache-sized, so each run reuses the memory of the last; the run also holds
+# its probes, the mean part and the norm intermediates (the weighted copy,
+# the Gram stack), at most 8 MiB traced in all at m <= 5.
+SIGN_BLOCK_BYTES = 1 << 20
 # Sign patterns drawn by a sampled sweep, before duplicates are dropped.
 SIGN_PATTERN_SAMPLES = 256
 
@@ -75,11 +75,6 @@ MAX_ASCENT_ITER = 400
 # any restart count and any sweep.
 ASCENT_BLOCK = 64
 ASCENT_BLOCK_BYTES = 1 << 24
-
-
-def matrix_unit_stack(dim: int) -> np.ndarray:
-    """All dim**2 matrix units as a (dim**2, dim, dim) stack, row-major order."""
-    return np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)
 
 
 class OperatorHandle:
@@ -488,6 +483,37 @@ def sign_sweep_stack_bytes(m: int, trials: int) -> int:
     return 2 * m * (2 * 4**m + trials) * 4**m * np.dtype(np.complex128).itemsize
 
 
+def check_sign_sweep_size(m: int, trials: int, level: str = "level", count: str = "trials") -> None:
+    """Refuse a sign sweep whose differences outgrow ``MAX_SIGN_STACK_BYTES``;
+    the message calls its level ``level`` and its trial count ``count``."""
+    need = sign_sweep_stack_bytes(m, trials)
+    if need > MAX_SIGN_STACK_BYTES:
+        raise ValueError(
+            f"sign sweep with {level} {m} and {count} {trials} takes {need / 2**30:.2f} GiB of "
+            f"martingale differences, each combined under every sign pattern, above the "
+            f"{MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB work limit; lower {level} or {count}"
+        )
+
+
+def sign_sweep_probes(m: int, seed: int, first: int, last: int) -> np.ndarray:
+    """Probes first .. last - 1 of the level-m sign sweep as one stack.
+
+    The probes are the 4**m Walsh matrices (paper mode), the 4**m matrix
+    units in row-major order, then the Gaussian draws of
+    ``task_gaussian_stack(2**m, seed, ...)``.  Each part is built for its
+    index range alone, bit for bit the slice of the whole part.
+    """
+    n, d = 4**m, 1 << m
+    walsh = range(min(first, n), min(last, n))
+    units = range(min(max(first - n, 0), n), min(max(last - n, 0), n))
+    draws = range(max(first - 2 * n, 0), max(last - 2 * n, 0))
+    return np.concatenate([
+        system_synthesize(np.eye(len(walsh), n, k=walsh.start, dtype=np.complex128), m),
+        np.eye(len(units), n, k=units.start, dtype=np.complex128).reshape(-1, d, d),
+        task_gaussian_stack(d, seed, len(draws), draws.start),
+    ])
+
+
 def unconditionality_constant(
     ctx: LpContext,
     mode: str = "exhaustive",
@@ -497,14 +523,14 @@ def unconditionality_constant(
     """Largest ratio ||rho(x)I + sum eps_s D_s x|| / ||x|| over sign patterns.
 
     The probe set is every Walsh matrix, every matrix unit, and ``trials``
-    seeded Gaussian draws; draw k depends only on (seed, k), so enlarging
-    ``trials`` refines the probe set monotonically.  Sampled mode draws
-    ``SIGN_PATTERN_SAMPLES`` patterns, the all-plus one among them, and reduces
-    them to their distinct rows before any norm: the ratio is a max over
-    patterns, and sampled mode reports no per-pattern maxima.  The probes
-    are taken in runs, each run drawing its own Gaussian probes, their own
-    norms and the filter too, and the patterns in blocks, so no stack built
-    from the probes outgrows ``SIGN_BLOCK_BYTES`` (unless one probe's
+    seeded Gaussian draws (``sign_sweep_probes``); draw k depends only on
+    (seed, k), so enlarging ``trials`` refines the probe set monotonically.
+    Sampled mode draws ``SIGN_PATTERN_SAMPLES`` patterns, the all-plus one
+    among them, and reduces them to their distinct rows before any norm: the
+    ratio is a max over patterns, and sampled mode reports no per-pattern
+    maxima.  The probes are taken in runs, each run building its own probes,
+    their norms and the filter too, and the patterns in blocks, so no stack
+    built from the probes outgrows ``SIGN_BLOCK_BYTES`` (unless one probe's
     differences do).
     """
     if trials <= 0:
@@ -513,13 +539,7 @@ def unconditionality_constant(
         raise ValueError(f"unknown sweep mode {mode!r}")
     spec = ctx.state
     steps = 2 * spec.m
-    need = sign_sweep_stack_bytes(spec.m, trials)
-    if need > MAX_SIGN_STACK_BYTES:
-        raise ValueError(
-            f"sign sweep at level {spec.m} with {trials} trials takes {need / 2**30:.2f} GiB of "
-            f"martingale differences, each combined under every sign pattern, above the "
-            f"{MAX_SIGN_STACK_BYTES / 2**30:.2f} GiB work limit"
-        )
+    check_sign_sweep_size(spec.m, trials)
     if mode == "exhaustive":
         if steps > 12:
             raise ValueError("exhaustive sign sweep requires 2m <= 12")
@@ -531,19 +551,14 @@ def unconditionality_constant(
         patterns = np.unique(patterns, axis=0)
 
     d = spec.dim
-    # The Walsh matrices and matrix units as one stack (32 MiB at m = 5); each run draws its own Gaussian probes.
-    fixed = np.concatenate([walsh_stack(spec.m), matrix_unit_stack(d)])
+    total = 2 * 4**spec.m + trials
     weights = state_diagonal(spec)
-    matrix_bytes = d * d * fixed.itemsize
+    matrix_bytes = d * d * np.dtype(np.complex128).itemsize
     run = max(1, SIGN_BLOCK_BYTES // (steps * matrix_bytes))
     row_max = np.zeros(patterns.shape[0])
     kept = 0
-    for first in range(0, len(fixed) + trials, run):
-        last = min(first + run, len(fixed) + trials)
-        probes = fixed[first:last]
-        if last > len(fixed):  # Gaussian draws lo - len(fixed) .. last - len(fixed) - 1
-            lo = max(first, len(fixed))
-            probes = np.concatenate([probes, task_gaussian_stack(d, seed, last - lo, lo - len(fixed))])
+    for first in range(0, total, run):
+        probes = sign_sweep_probes(spec.m, seed, first, min(first + run, total))
         base_norms = batched_weighted_lp_norm(probes, weights, ctx.p, ctx.side)
         keep = base_norms > 1e-12
         probes, base_norms = probes[keep], base_norms[keep]

@@ -63,6 +63,11 @@ def matrix_units(dim: int) -> list[np.ndarray]:
     return units
 
 
+def matrix_unit_stack(dim: int) -> np.ndarray:
+    """All dim**2 matrix units as a (dim**2, dim, dim) stack, row-major order."""
+    return np.eye(dim * dim, dtype=np.complex128).reshape(dim * dim, dim, dim)
+
+
 def probe_matrix(handle) -> np.ndarray:
     """Materialisation oracle: apply the handle to one matrix unit at a time.
 

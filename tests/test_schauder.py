@@ -11,6 +11,7 @@ from helpers import (
     FILTRATION_MASK_TOL,
     dense_exact_norm_p2,
     mask_product_matrix,
+    matrix_unit_stack,
     matrix_units,
     probe_matrix,
     random_matrix,
@@ -19,7 +20,7 @@ from helpers import (
 )
 from walshlab import schauder
 from walshlab.classical import classical_norm_estimate, diag_index_map
-from walshlab.linalg import gaussian_matrix, task_rng
+from walshlab.linalg import gaussian_matrix, task_gaussian_stack, task_rng
 from walshlab.states import (
     LpContext,
     StateSpec,
@@ -52,7 +53,7 @@ from walshlab.schauder import (
     unconditionality_constant,
 )
 from walshlab.tensor import TensorContext, max_shell_index, shell_index, tensor_partial_sum_handle
-from walshlab.walsh import MEANZERO, PAPER, walsh_coefficients, walsh_matrix
+from walshlab.walsh import MEANZERO, PAPER, walsh_coefficients, walsh_matrix, walsh_stack
 
 W = walsh_matrix
 
@@ -165,7 +166,7 @@ def test_subset_projection_mask_matches_the_telescoped_filtration(alpha):
     # its differences is the oracle, applied and materialized (matrix units, max |x| = 1).
     for m in (1, 2, 3):
         spec = StateSpec(alpha, m)
-        units = schauder.matrix_unit_stack(spec.dim)
+        units = matrix_unit_stack(spec.dim)
         x = random_matrix(m, 900 + m)
         for steps in _step_subsets(m):
             got = subset_projection(x, steps, spec)
@@ -1021,3 +1022,43 @@ def test_sign_sweep_peak_does_not_grow_with_trials(monkeypatch):
             tracemalloc.stop()
     # One stack of all the draws would add 64 B per probe: 384 KiB more at 8,000 trials.
     assert peaks[8_000] <= peaks[2_000] + (16 << 10), peaks
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sign_sweep_probes_are_slices_of_the_whole_probe_set(m):
+    # Each run builds its Walsh matrices, matrix units and draws for its own
+    # index range; every run, at any run length, is the slice of the whole set.
+    n, d, trials, seed = 4**m, 1 << m, 13, 7
+    whole = np.concatenate([walsh_stack(m), matrix_unit_stack(d), task_gaussian_stack(d, seed, trials)])
+    total = len(whole)
+    for run in (1, 6, n + 3, total):
+        for first in range(0, total, run):
+            probes = schauder.sign_sweep_probes(m, seed, first, min(first + run, total))
+            assert np.array_equal(probes, whole[first:first + run]), (run, first)
+
+
+# The benchmark's two sign sweeps, then m = 1..5.  At m >= 4 the sample is cut
+# to 12 patterns, still more than one pattern block (8 patterns at m = 4, 10
+# at m = 5), so every stack the sweep builds reaches its full size.
+@pytest.mark.parametrize(
+    "m, alpha, p, mode, trials",
+    [
+        (2, 0.3, 4.0, "exhaustive", 5000),
+        (3, 0.1, 3.0, "sampled", 100),
+        (1, 0.3, 3.0, "exhaustive", 20_000),
+        (3, 0.3, 4.0, "exhaustive", 300),
+        (4, 0.3, 3.0, "sampled", 8),
+        (5, 0.3, 3.0, "sampled", 4),
+    ],
+)
+def test_sign_sweep_traced_peak_stays_within_8_mib(m, alpha, p, mode, trials, monkeypatch):
+    monkeypatch.setattr(schauder, "SIGN_PATTERN_SAMPLES", 256 if m < 4 else 12)
+    ctx = LpContext(p, StateSpec(alpha, m))
+    tracemalloc.start()
+    try:
+        rep = unconditionality_constant(ctx, mode, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.probes == 2 * 4**m + trials
+    assert peak <= 8 << 20, peak / 2**20
