@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, compressed_top_value, level_of_dim
+from .linalg import as_matrix, kron_rows, level_of_dim, mask_boxes, top_singular_value
 from .schauder import multistart_ascent
-from .states import LEFT, StateSpec, state_diagonal, weight_scale
+from .states import StateSpec, state_diagonal
 from .walsh import mean_zero_block
 
 MAX_STEP_LEVEL = 8
+# The two digit functions of one dyadic digit, as columns: 1 and 1 - 2 * bit.
+DIGIT_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -169,17 +171,42 @@ def classical_projection(n: int, level: int) -> np.ndarray:
     return kept @ kept.T / 2**level
 
 
+def classical_exact2_rows_bytes(n: int, level: int) -> int:
+    """Bytes of the n + 1 real rows of 2**level entries that ``classical_norm_exact2`` builds."""
+    return (n + 1) * (1 << level) * np.dtype(np.float64).itemsize
+
+
 def classical_norm_exact2(n: int, level: int, alpha: float) -> float:
-    """Exact weighted-L^2 norm of the classical partial-sum projection.
+    """Exact weighted-L^2 norm of the classical partial-sum projection P_n.
 
     Its range is spanned by Walsh functions 0..n, and so by the first n + 1
-    functions orthonormalized for the biased measure, which give the r = n + 1
-    rows of ``linalg.compressed_top_value``.
+    functions b_k orthonormalized for the biased measure; the norm is the top
+    singular value of the r = n + 1 rows (b_k w) P_n / root, w the interval
+    weights and root their square roots, as in ``schauder.exact_norm_p2``.
+    Every b_k w is a product over the digits, and P_n is the sum over the
+    digit boxes of its index mask (``linalg.mask_boxes``) of products of
+    2x2 digit projections (exact: 0, +-1/2 or 1).  So the rows are sums of
+    row-wise Kronecker products of 2-vectors, and neither P_n nor the
+    2**level x 2**level basis is formed.
     """
-    # A step function is a diagonal matrix: interval k carries the weight of column k.
-    root = weight_scale(dyadic_weights(level, alpha), 2.0, LEFT).ravel()
-    basis = _walsh_functions(np.arange(n + 1), level, alpha).T
-    return compressed_top_value(classical_projection(n, level), root, basis)
+    if not 0 <= n < (1 << level):
+        raise ValueError(f"partial-sum index {n} out of range for level {level}")
+    plus, minus = np.diagonal(mean_zero_block(alpha)).real
+    weights = np.array([alpha, 1.0 - alpha])  # of interval digit 0 and 1
+    # Row g: one digit of b_k w, where bit i of k is g (the normalized biased digit) or not (1).
+    digit_values = np.array([[1.0, 1.0], [plus, minus]]) * weights
+    images = {}  # by kept digit set: (b w) M_d / root of both digit values, M_d the exact digit projection
+
+    def image(d: np.ndarray) -> np.ndarray:
+        if d.tobytes() not in images:
+            images[d.tobytes()] = digit_values @ (DIGIT_SIGNS[:, d] @ DIGIT_SIGNS[:, d].T / 2) / np.sqrt(weights)
+        return images[d.tobytes()]
+
+    bits = (np.arange(n + 1)[:, np.newaxis] >> np.arange(level)) & 1
+    rows = np.zeros((n + 1, 1 << level))
+    for box in mask_boxes(np.arange(1 << level) <= n, level, base=2):
+        rows += kron_rows([image(d)[bits[:, i]] for i, d in enumerate(box)])
+    return top_singular_value(rows)
 
 
 def classical_norm_estimate(

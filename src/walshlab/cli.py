@@ -46,15 +46,19 @@ from .states import (
 from .schauder import (
     ESTIMATE,
     EXACT2,
+    EXACT2_ENGINE,
     MAX_EXPLICIT_LEVEL,
     basis_constant_sweep,
+    basis_sweep_rows,
+    check_exact2_size,
     check_sign_sweep_size,
     estimate_norms_lp,
+    exact2_rows_bytes,
     exact_norm_p2,
     identity_residual,
     unconditionality_constant,
 )
-from .classical import classical_norm_estimates, classical_norm_exact2
+from .classical import classical_exact2_rows_bytes, classical_norm_estimates, classical_norm_exact2
 from .tensor import TensorContext, max_shell_index, shell_pair, tensor_partial_sum_handle
 from .walsh import (
     MODES,
@@ -468,14 +472,25 @@ def _seed(args, stochastic: bool) -> int:
     return 0 if args.seed is None else args.seed
 
 
+def _exact2_record(rows: int, rows_bytes: int) -> dict:
+    """Manifest record of an exact2 sweep: its engine, its largest r and the bytes of those rows."""
+    return {"exact2": {"engine": EXACT2_ENGINE, "rows": rows, "rows_bytes": rows_bytes}}
+
+
 def _cmd_basis_constants(args, argv) -> int:
-    _check_level(args.level)
+    if args.method == ESTIMATE:
+        _check_level(args.level)
     if args.nmax is None:
         args.nmax = 4**args.level - 1
     if args.nmax >= 4**args.level:
         raise ValueError(f"--nmax {args.nmax} out of range for --level {args.level} (max {4**args.level - 1})")
-    if args.method == EXACT2 and args.p != 2:
-        raise ValueError(f"--method exact2 applies only at --p 2 (got --p {args.p})")
+    records = {}
+    if args.method == EXACT2:
+        if args.p != 2:
+            raise ValueError(f"--method exact2 applies only at --p 2 (got --p {args.p})")
+        r = basis_sweep_rows(args.nmax)
+        check_exact2_size(args.level, r, "--level or --nmax")
+        records = _exact2_record(r, exact2_rows_bytes(args.level, r))
     rows = basis_constant_sweep(
         LpContext(args.p, StateSpec(args.alpha, args.level), args.side),
         args.nmax,
@@ -488,7 +503,7 @@ def _cmd_basis_constants(args, argv) -> int:
         BASIS_HEADER,
         [[r.n, r.p, r.alpha, r.side, r.method, r.value, r.converged] for r in rows],
     )
-    write_manifest(args, argv)
+    write_manifest(args, argv, **records)
     for r in rows:
         print(
             f"n={r.n} value={fmt(r.value)} decomposition={fmt(r.decomp_value)} gap={fmt(r.gap)}"
@@ -516,7 +531,7 @@ def _cmd_unconditionality(args, argv) -> int:
 
 
 def _cmd_tensor_sweep(args, argv) -> int:
-    _check_level(args.level + args.level2, "--level + --level2")
+    _check_level(args.level + args.level2, "--level + --level2", MAX_LEVEL if args.p == 2 else MAX_EXPLICIT_LEVEL)
     ctx = TensorContext(StateSpec(args.alpha, args.level), StateSpec(args.alpha2, args.level2))
     if not 0 <= args.nmax <= max_shell_index(ctx):
         raise ValueError(f"--nmax {args.nmax} out of range (max {max_shell_index(ctx)})")
@@ -524,14 +539,18 @@ def _cmd_tensor_sweep(args, argv) -> int:
 
     ns = range(args.nmax + 1)
     handles = (tensor_partial_sum_handle(n, ctx) for n in ns)
+    records = {}
     if args.p == 2:
+        r = tensor_partial_sum_handle(args.nmax, ctx).rows  # Q_nmax holds every earlier shell
+        check_exact2_size(ctx.m, r, "--level + --level2 or --nmax")
+        records = _exact2_record(r, exact2_rows_bytes(ctx.m, r))
         values = [exact_norm_p2(handle, ctx).value for handle in handles]
     else:
         reports = estimate_norms_lp(handles, LpContext(args.p, ctx), args.restarts, [seed + n for n in ns])
         values = [rep.value for rep in reports]
     rows = [[n, *shell_pair(n), args.alpha, args.alpha2, args.p, value] for n, value in zip(ns, values)]
     write_csv(args.out, TENSOR_HEADER, rows)
-    write_manifest(args, argv)
+    write_manifest(args, argv, **records)
     return 0
 
 
@@ -541,8 +560,10 @@ def _cmd_classical(args, argv) -> int:
     seed = _seed(args, args.p != 2)
 
     ns = range(args.nmax + 1)
+    records = {}
     if args.p == 2:
         method, cells = EXACT2, [(classical_norm_exact2(n, args.level, args.alpha), True) for n in ns]
+        records = _exact2_record(args.nmax + 1, classical_exact2_rows_bytes(args.nmax, args.level))
     else:
         method = ESTIMATE
         cells = classical_norm_estimates(
@@ -550,7 +571,7 @@ def _cmd_classical(args, argv) -> int:
         )
     rows = [[n, args.p, args.alpha, "left", method, value, converged] for n, (value, converged) in zip(ns, cells)]
     write_csv(args.out, BASIS_HEADER, rows)
-    write_manifest(args, argv)
+    write_manifest(args, argv, **records)
     return 0
 
 

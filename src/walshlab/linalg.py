@@ -1,5 +1,6 @@
 """Dense complex matrix kernel: Kronecker products, spectral routines, Schatten
-norms, and the per-factor 4x4 maps and coefficient transforms of a stack.
+norms, the per-factor 4x4 maps and coefficient transforms of a stack, and the
+digit boxes of a coefficient mask with the product matrices built from them.
 
 Every matrix handled by this package is a square complex128 numpy array of
 dimension 2**m; functions that say so also take a stack of such matrices, an
@@ -38,7 +39,10 @@ __all__ = [
     "factor_coefficients",
     "factor_synthesis",
     "factor_map_matrix",
-    "compressed_top_value",
+    "mask_boxes",
+    "kron_rows",
+    "factor_products",
+    "top_singular_value",
     "gaussian_matrix",
     "task_rng",
     "task_gaussian_stack",
@@ -334,20 +338,69 @@ def factor_synthesis(c, m: int, kernels) -> np.ndarray:
     return _from_factor_tensor(_factor_tensor_maps(t, dict(enumerate(kernels)), len(batch)), m)
 
 
-def compressed_top_value(mat: np.ndarray, root: np.ndarray, basis: np.ndarray) -> float:
-    """Top singular value of S = diag(root) mat diag(root)^-1 from its rows on a basis of its range.
+def mask_boxes(keep, m: int, base: int = 4) -> list[list[np.ndarray]]:
+    """Split a mask over the base**m indices n = sum q_i base**i into disjoint digit boxes.
 
-    The value is the operator norm of ``mat`` for the inner product
-    sum_k root_k**2 conj(x_k) y_k.  The r rows of ``basis`` must be
-    orthonormal for that inner product and span a space that holds the range
-    of ``mat``; then the vectors root * basis_k are orthonormal and hold the
-    range of S, so ||S|| is the top singular value of the r x N matrix
-    (root * basis)* S, at O(N**2 r) cost instead of the O(N**3) of S's own
-    Gram matrix.  That value comes from the top eigenvalue of the r x r Gram
-    matrix, scaled into float range if need be.
+    A box is m boolean arrays of length ``base``, factor 0 first: the digit
+    sets d_0 x ... x d_(m-1) whose indices it holds.  The split is on the top
+    digit, grouping the digits with equal sub-masks, so a full factor is one
+    digit set of all digits (a prefix mask gives at most m + 1 boxes).
     """
-    rows = ((basis.conj() * (root * root)) @ mat) / root
-    return float(_gram_norms(rows.conj().T[np.newaxis], np.inf)[0])
+    memo: dict[bytes, list] = {}  # the lower sub-masks repeat; a mask's length fixes its level
+
+    def boxes(mask: np.ndarray, level: int) -> list[list[np.ndarray]]:
+        if level == 0:
+            return [[]] if mask[0] else []
+        key = mask.tobytes()
+        if key not in memo:
+            rows = mask.reshape(base, -1)  # row q: the sub-mask under top digit q
+            nonempty = rows.any(axis=1).tolist()
+            out = memo[key] = []
+            for row in {rows[q].tobytes(): rows[q] for q in range(base) if nonempty[q]}.values():
+                digits = (rows == row).all(axis=1)  # the top digits with this sub-mask
+                out += [lower + [digits] for lower in boxes(row, level - 1)]
+        return memo[key]
+
+    return boxes(np.asarray(keep, dtype=bool), m)
+
+
+def kron_rows(parts) -> np.ndarray:
+    """Row-wise Kronecker product: row i is parts[0][i] (x) parts[1][i] (x) ..., the first part major.
+
+    Every entry is a product of one entry of each part, with no sum.
+    """
+    t = np.asarray(parts[0])
+    for part in parts[1:]:
+        t = (t[:, :, np.newaxis] * part[:, np.newaxis, :]).reshape(len(t), -1)
+    return t
+
+
+def factor_products(parts) -> np.ndarray:
+    """The (k, 2**m, 2**m) stack of product matrices whose i-th factor tensor is
+    parts[0][i] (x) ... (x) parts[m-1][i].
+
+    ``parts`` holds one (k, 4) array per factor, factor 0 first: row i is that
+    factor's (row bit, col bit) entries (00, 01, 10, 11) in matrix i.  Matrix
+    i is the Kronecker product of those 2x2 blocks, factor 0 major, built
+    from the last factor up without a change of layout.  Every entry is a
+    product of one entry of each part, with no sum.
+    """
+    t = np.asarray(parts[-1], dtype=np.complex128).reshape(-1, 2, 2)
+    for part in reversed(parts[:-1]):  # the new factor is major, so the long axis stays inner
+        k, d = t.shape[:2]
+        t = (np.reshape(part, (k, 2, 1, 2, 1)) * t[:, np.newaxis, :, np.newaxis, :]).reshape(k, 2 * d, 2 * d)
+    return t
+
+
+def top_singular_value(rows: np.ndarray) -> float:
+    """Top singular value of an r x N matrix (r <= N), from the top eigenvalue of
+    its r x r Gram matrix, scaled into float range if need be (``schatten_norm``'s
+    Gram route at p = inf, at O(N r**2) instead of O(N**2 r)).
+
+    The Gram matrix is taken of the transpose, whose eigenvalues are the same,
+    so the rows are not conjugated first.
+    """
+    return float(_gram_norms(np.asarray(rows).T[np.newaxis], np.inf)[0])
 
 
 def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

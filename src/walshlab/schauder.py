@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    apply_factor_maps,
     as_stack,
-    compressed_top_value,
     factor_map_matrix,
+    factor_products,
     gaussian_matrix,
     level_of_dim,
     task_gaussian_stack,
     task_rng,
+    top_singular_value,
 )
 from .states import (
     LEFT,
@@ -31,7 +33,7 @@ from .states import (
     batched_weighted_lp_norm,
     filtration_differences,
     lp_norm,
-    orthonormal_stack,
+    orthonormal_parts,
     state_diagonal,
     weight_scale,
     weighted_lp_dual_gradient,
@@ -50,6 +52,9 @@ from .walsh import (
 )
 
 MAX_EXPLICIT_LEVEL = 4  # superoperator matrices stay at or below 256 x 256
+# Refuse exact p = 2 norms whose r compressed rows of 4**m entries would
+# outgrow this many bytes; the engine holds a few stacks of that size.
+MAX_EXACT2_ROWS_BYTES = 1 << 26
 # Refuse sign sweeps whose differences, over all probes and steps, would
 # outgrow this many bytes.  The sweep never holds them all at once, so this
 # bounds its total work (every difference is combined under every pattern),
@@ -66,6 +71,8 @@ SIGN_PATTERN_SAMPLES = 256
 
 EXACT2 = "exact2"
 ESTIMATE = "estimate"
+# How exact2 forms its rows: the operator's adjoint on the r weighted basis elements.
+EXACT2_ENGINE = "adjoint-rows"
 
 # Stopping rule of the multi-start ascent: relative tolerance and iteration cap.
 ASCENT_TOL = 1e-6
@@ -83,7 +90,8 @@ class OperatorHandle:
 
     Every operator measured here is one: P_n in both modes, a tensor shell sum
     Q_n, a subset projection.  Calling the handle on one matrix or on a stack
-    gives ``keep_coefficients`` of each.  ``matrix()`` materializes the map in
+    gives ``keep_coefficients`` of each; ``adjoint`` and ``adjoint_products``
+    apply its Hilbert-Schmidt adjoint.  ``matrix()`` materializes the map in
     the matrix-unit basis (row-major vec convention) from its ``mask_terms``,
     for levels m <= 4.  ``rows`` is r, the number of leading Walsh matrices
     whose span holds the range: the last kept index + 1, and 1 for an empty
@@ -105,6 +113,43 @@ class OperatorHandle:
             return (x.reshape(x.shape[:-2] + (-1,)) @ self._matrix.T).reshape(x.shape)
         return keep_coefficients(x, self.keep, self.alpha, self.mode)
 
+    def adjoint(self, x) -> np.ndarray:
+        """The Hilbert-Schmidt adjoint T* of one matrix or of each matrix of a stack.
+
+        A mask is a sum of boxes (``mask_terms``), each a product of real
+        per-factor maps S diag(d) A; the adjoint applies the transposed maps
+        of every box, so a full factor takes the identity map as formed, with
+        no cancellation.  (The transform pair S^T, mask, A^T cancels there:
+        the exact p = 2 norm of the meanzero P_255 = I at m = 4, alpha = 1e-4,
+        read 1 + 9e-10 through it and 1 + 1.6e-15 through the boxes.)  An
+        explicit handle applies ``mat.conj().T``.
+        """
+        x = as_stack(x)
+        if self.keep is None:
+            return (x.reshape(x.shape[:-2] + (-1,)) @ self._matrix.conj()).reshape(x.shape)
+        return sum(
+            (c * apply_factor_maps(x, {j: k.T for j, k in enumerate(maps)}) for c, maps in self._terms()),
+            np.zeros_like(x),
+        )
+
+    def adjoint_products(self, parts) -> np.ndarray:
+        """``adjoint`` of the product matrices ``linalg.factor_products(parts)``, as a (k, d, d) stack.
+
+        A mask handle takes each box's maps to the per-factor parts, (k, 4)
+        arrays, and builds the products of the results: no pass over a
+        (k, 4**m) stack and no sum over 4**m entries.
+        """
+        if self.keep is None:
+            return self.adjoint(factor_products(parts))
+        images = np.zeros((len(parts[0]), self.dim, self.dim), dtype=np.complex128)
+        for c, maps in self._terms():
+            # A row x takes k^T x = (x^T k)^T; the coefficient rides on factor 0.
+            images += factor_products([part @ k for part, k in zip(parts, [c * maps[0], *maps[1:]])])
+        return images
+
+    def _terms(self) -> list:
+        return mask_terms(self.keep, self.m, self.alpha, self.mode)
+
     @classmethod
     def from_matrix(cls, mat: np.ndarray, label: str = "explicit") -> "OperatorHandle":
         mat = np.asarray(mat, dtype=np.complex128)
@@ -123,7 +168,7 @@ class OperatorHandle:
                 raise ValueError(
                     f"refusing to materialize a superoperator at level {self.m} > {MAX_EXPLICIT_LEVEL}"
                 )
-            self._matrix = factor_map_matrix(mask_terms(self.keep, self.m, self.alpha, self.mode), self.m)
+            self._matrix = factor_map_matrix(self._terms(), self.m)
         return self._matrix
 
 
@@ -250,24 +295,51 @@ def identity_residual(
     return residual, norms
 
 
+def exact2_rows_bytes(m: int, rows: int) -> int:
+    """Bytes of the r = ``rows`` compressed rows of 4**m complex entries that exact2 builds."""
+    return rows * 4**m * np.dtype(np.complex128).itemsize
+
+
+def check_exact2_size(m: int, rows: int, lower: str = "the level or the rows") -> None:
+    """Refuse an exact p = 2 norm whose rows outgrow ``MAX_EXACT2_ROWS_BYTES``;
+    the message ends with the advice to lower ``lower``."""
+    need = exact2_rows_bytes(m, rows)
+    if need > MAX_EXACT2_ROWS_BYTES:
+        raise ValueError(
+            f"exact2 at level {m} takes {rows} compressed rows of {4**m} entries, {need / 2**20:.0f} MiB, "
+            f"above the {MAX_EXACT2_ROWS_BYTES / 2**20:.0f} MiB limit; lower {lower}"
+        )
+
+
+def basis_sweep_rows(n_max: int) -> int:
+    """The largest r of a basis-constant sweep over n = 0..n_max: P_n takes n + 1
+    rows and the decomposition operator of n takes 2**bit_length(n), at least as many."""
+    return 1 << n_max.bit_length()
+
+
 def exact_norm_p2(T: OperatorHandle, spec: StateSpec, side: str = LEFT) -> NormReport:
     """Exact operator norm of T on the weighted p=2 matrix space of the state.
 
     The weighted inner product Tr(x* y A) (left) or Tr(x* A y) (right) is
     diagonalized by rescaled matrix units, so the norm is the top singular
-    value of the similarity-transformed superoperator.  Its range lies in the
-    span of w_0 .. w_(r-1) (r = ``T.rows``), which the first r elements of
-    the state-orthonormal Walsh basis span as well, so the value comes from
-    the r rows of the similarity on that basis (``compressed_top_value``).
+    value of the similarity S = diag(root) M diag(root)^-1 of T's matrix M.
+    Its range lies in the span of w_0 .. w_(r-1) (r = ``T.rows``), which the
+    first r elements e_k of the state-orthonormal Walsh basis span as well,
+    so the value is the top singular value of the r x 4**m rows
+    (root e_k)* S = conj(T*(e_k root**2)) / root (``top_singular_value``).
+    T* comes from ``T.adjoint_products`` on the factor parts of the weighted
+    e_k, so no 4**m x 4**m matrix is formed at any level.
     """
     w = state_diagonal(spec)
     if np.any(w <= 0):
         raise ValueError("density must be positive definite")
-    d = T.dim
-    # Matrix unit (i, j) in row-major vec order carries the weight of its column (left) or row (right).
-    root = np.broadcast_to(weight_scale(w, 2.0, side), (d, d)).ravel()
-    basis = orthonormal_stack(spec, T.rows, side).reshape(-1, d * d)
-    return NormReport(value=compressed_top_value(T.matrix(), root, basis), method=EXACT2)
+    check_exact2_size(T.m, T.rows)
+    # e_k A (left) or A e_k (right): each factor's part times its density on the column or row bit.
+    densities = [np.broadcast_to(weight_scale((b, 1.0 - b), 1.0, side), (2, 2)).ravel() for b in spec.biases]
+    images = T.adjoint_products([part * d for part, d in zip(orthonormal_parts(spec, T.rows, side), densities)])
+    # Entry (i, j) carries the weight of its column (left) or row (right); conj leaves the singular values alone.
+    images /= weight_scale(w, 2.0, side)
+    return NormReport(value=top_singular_value(images.reshape(T.rows, -1)), method=EXACT2)
 
 
 def multistart_ascent(mats, draw, norm_of, norm_gradient, dual_gradient, restarts: int, seeds) -> list[tuple[float, bool]]:
@@ -444,6 +516,8 @@ def basis_constant_sweep(
     spec = ctx.state
     if not 0 <= n_max < 4**spec.m:
         raise ValueError(f"sweep bound {n_max} out of range for level m={spec.m}")
+    if method == EXACT2:
+        check_exact2_size(spec.m, basis_sweep_rows(n_max), "the level or n_max")
     ns = range(n_max + 1)
     handles = (
         handle

@@ -30,7 +30,6 @@ from .linalg import (
     apply_factor_maps,
     as_matrix,
     as_stack,
-    factor_synthesis,
     schatten_norm,
 )
 from .walsh import GEN_FLIP, GEN_IDENTITY, mean_zero_block
@@ -214,20 +213,22 @@ def orthonormal_kernel(bias: float, side: str = LEFT) -> np.ndarray:
     ).astype(np.complex128)
 
 
-def orthonormal_stack(spec: StateSpec, count: int, side: str = LEFT) -> np.ndarray:
-    """The first ``count`` elements e_0, e_1, ... of the state-orthonormal Walsh basis, shape (count, d, d).
+def orthonormal_parts(spec: StateSpec, count: int, side: str = LEFT) -> list[np.ndarray]:
+    """Per-factor parts of the first ``count`` elements e_0, e_1, ... of the state-orthonormal Walsh basis.
 
     e_n is the tensor product of ``orthonormal_kernel`` elements, the one of
-    factor j picked by base-4 digit j of n under that factor's bias.  The
-    elements are orthonormal for the state's weighted p = 2 inner product, and
-    e_n lies in the span of the Walsh matrices w_k whose every base-4 digit is
-    at most that of n, so e_0 .. e_(r-1) span the same space as w_0 .. w_(r-1)
-    for every r.
+    factor j picked by base-4 digit j of n under that factor's bias; part j
+    is the (count, 4) array of those kernel elements, so the elements are
+    ``linalg.factor_products`` of the parts.  They are orthonormal for the
+    state's weighted p = 2 inner product, and e_n lies in the span of the
+    Walsh matrices w_k whose every base-4 digit is at most that of n, so
+    e_0 .. e_(r-1) span the same space as w_0 .. w_(r-1) for every r.
     """
     if not 1 <= count <= 4**spec.m:
         raise ValueError(f"basis size {count} out of range [1, {4**spec.m}] for level m={spec.m}")
-    kernels = [orthonormal_kernel(b, side) for b in spec.biases]
-    return factor_synthesis(np.eye(count, 4**spec.m, dtype=np.complex128), spec.m, kernels)
+    elements = {b: orthonormal_kernel(b, side).T for b in set(spec.biases)}  # row q: element q
+    digits = np.arange(count)
+    return [elements[b][(digits >> 2 * j) & 3] for j, b in enumerate(spec.biases)]
 
 
 def lp_norm(x, ctx: LpContext) -> float | np.ndarray:

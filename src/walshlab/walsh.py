@@ -21,6 +21,7 @@ from .linalg import (
     factor_synthesis,
     kron,
     level_of_dim,
+    mask_boxes,
 )
 
 PAPER = "paper"
@@ -219,29 +220,20 @@ def system_synthesize(c, m: int, alpha: float = 0.5, mode: str = PAPER) -> np.nd
 def mask_terms(keep, m: int, alpha: float = 0.5, mode: str = PAPER) -> list[tuple[float, list[np.ndarray]]]:
     """``keep_coefficients`` with the mask ``keep`` as factor-map terms (``linalg.factor_map_matrix``).
 
-    The mask splits into disjoint base-4 digit boxes d_0 x ... x d_(m-1) by
-    splitting on the top digit and grouping the digits with equal sub-masks
-    (a prefix mask gives at most m + 1).  A box is one term, with the map
-    S diag(d_i) A on factor i, (A, S) the factor kernels.
+    Each digit box d_0 x ... x d_(m-1) of the mask (``linalg.mask_boxes``) is
+    one term, with the map S diag(d_i) A on factor i, (A, S) the factor
+    kernels; each distinct digit set's map is formed once.
     """
     analysis, synthesis = (kernel.real for kernel in factor_kernels(alpha, mode))
-    memo: dict[bytes, list] = {}  # the lower sub-masks repeat; a mask's length fixes its level
+    maps: dict[bytes, np.ndarray] = {}  # boxes share their digit sets
 
-    def boxes(mask: np.ndarray, level: int) -> list[list[np.ndarray]]:
-        if level == 0:
-            return [[]] if mask[0] else []
-        key = mask.tobytes()
-        if key not in memo:
-            rows = mask.reshape(4, -1)  # row q: the sub-mask under top digit q
-            nonempty = rows.any(axis=1).tolist()
-            out = memo[key] = []
-            for row in {rows[q].tobytes(): rows[q] for q in range(4) if nonempty[q]}.values():
-                digits = (rows == row).all(axis=1)  # the top digits with this sub-mask
-                top = synthesis[:, digits] @ analysis[digits]
-                out += [lower + [top] for lower in boxes(row, level - 1)]
-        return memo[key]
+    def factor_map(digits: np.ndarray) -> np.ndarray:
+        key = digits.tobytes()
+        if key not in maps:
+            maps[key] = synthesis[:, digits] @ analysis[digits]
+        return maps[key]
 
-    return [(1.0, maps) for maps in boxes(np.asarray(keep, dtype=bool), m)]
+    return [(1.0, [factor_map(digits) for digits in box]) for box in mask_boxes(keep, m)]
 
 
 def coefficient_mask(keep, m: int) -> np.ndarray:

@@ -167,6 +167,20 @@ def _sequential_cell(mat, draw, norm_of, norm_gradient, dual_gradient, restarts,
     return best, best_converged
 
 
+def biased_digits(n: int, m: int, mode: str) -> int:
+    """k(n) of the p = 2 digit rule ||P_n||_2 = kappa**k(n): the factors i whose bit 2i
+    is biased while bits 0..2i of n are not all 1.
+
+    Every bit 2i is biased in paper mode; in meanzero mode only when bit 2i + 1 is set.
+    """
+    count = 0
+    for i in range(m):
+        low = (1 << (2 * i + 1)) - 1
+        biased = mode == PAPER or (n >> (2 * i + 1)) & 1
+        count += bool(biased) and n & low != low
+    return count
+
+
 def dense_top_value(mat: np.ndarray, root: np.ndarray) -> float:
     """Dense p = 2 oracle: top singular value of the whole similarity diag(root) mat diag(root)^-1.
 

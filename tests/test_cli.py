@@ -6,10 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import sequential_ascent
+from helpers import biased_digits, sequential_ascent
 from walshlab import cli, linalg, schauder
 from walshlab.cli import BASIS_HEADER, SIGN_HEADER, TENSOR_HEADER, fmt, run_command
 from walshlab.linalg import matrix_from_json
+from walshlab.states import StateSpec
+from walshlab.tensor import TensorContext, tensor_partial_sum_handle
+from walshlab.walsh import PAPER
 
 
 def run(capsys, *argv):
@@ -334,26 +337,132 @@ def test_out_of_range_flags_are_refused_by_name(tmp_path, capsys, monkeypatch, a
 
 
 def test_basis_constants_refuses_level_above_explicit_cap(tmp_path, capsys, monkeypatch):
+    # The estimate climbs on materialized matrices, so it stops at MAX_EXPLICIT_LEVEL.
     monkeypatch.setattr(cli, "basis_constant_sweep", _refuse_work)
-    for method in ("exact2", "estimate"):
-        code, _, err = run(
-            capsys, "basis-constants", "--level", "5", "--alpha", "0.3", "--p", "2",
-            "--method", method, "--seed", "1", "--out", str(tmp_path / "bc.csv"),
-        )
-        assert code == 2
-        assert "--level" in err
+    code, _, err = run(
+        capsys, "basis-constants", "--level", "5", "--alpha", "0.3", "--p", "2",
+        "--method", "estimate", "--seed", "1", "--out", str(tmp_path / "bc.csv"),
+    )
+    assert code == 2
+    assert "--level" in err
     assert not (tmp_path / "bc.csv").exists()
 
 
+def test_basis_constants_exact2_runs_above_the_explicit_level(tmp_path, capsys):
+    # exact2 forms no matrix: at --level 5 its CSV follows the digit rule, and the
+    # decomposition operators printed next to it have norm 1.
+    out_path = tmp_path / "bc.csv"
+    code, out, _ = run(
+        capsys, "basis-constants", "--level", "5", "--alpha", "0.3", "--p", "2",
+        "--method", "exact2", "--nmax", "15", "--out", str(out_path),
+    )
+    assert code == 0
+    kappa = (4 * 0.3 * 0.7) ** -0.5
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == BASIS_HEADER and len(lines) == 17
+    for line in lines[1:]:
+        n, p, alpha, side, method, value, converged = line.split(",")
+        target = kappa ** biased_digits(int(n), 5, PAPER)
+        assert (p, alpha, side, method, converged) == ("2", "0.29999999999999999", "left", "exact2", "true")
+        assert abs(float(value) - target) <= 1e-13 * target, line
+    for line in out.splitlines():
+        assert abs(float(line.split("decomposition=")[1].split()[0]) - 1.0) <= 1e-13, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--level 8 --nmax 64",  # the decomposition operator of 64 takes 128 rows of 4**8: 128 MiB
+        "--level 6",  # the default --nmax 4095 takes 4096 rows of 4**6: 256 MiB
+    ],
+)
+def test_basis_constants_refuses_exact2_rows_above_the_byte_limit(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "basis_constant_sweep", _refuse_work)
+    out_path = tmp_path / "bc.csv"
+    code, out, err = run(
+        capsys, "basis-constants", *argv.split(), "--alpha", "0.3", "--p", "2", "--method", "exact2",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert "--level" in err and "--nmax" in err and "MiB limit" in err, err
+    assert out == "" and not out_path.exists()
+
+
 def test_tensor_sweep_refuses_joint_level_above_explicit_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "exact_norm_p2", _refuse_work)
+    # The estimate climbs on materialized matrices, so it stops at MAX_EXPLICIT_LEVEL.
+    monkeypatch.setattr(cli, "estimate_norms_lp", _refuse_work)
     code, _, err = run(
         capsys, "tensor-sweep", "--level", "3", "--level2", "2", "--alpha", "0.3",
-        "--alpha2", "0.1", "--p", "2", "--nmax", "1", "--out", str(tmp_path / "ts.csv"),
+        "--alpha2", "0.1", "--p", "3", "--nmax", "1", "--seed", "1", "--out", str(tmp_path / "ts.csv"),
     )
     assert code == 2
     assert "--level" in err and "--level2" in err
     assert not (tmp_path / "ts.csv").exists()
+
+
+def test_tensor_sweep_p2_runs_at_joint_level_5(tmp_path, capsys):
+    # Q_0 keeps w_0 alone, like P_0: its norm is the product of the two blocks' kappa**m.
+    out_path = tmp_path / "ts.csv"
+    code, _, _ = run(
+        capsys, "tensor-sweep", "--level", "3", "--level2", "2", "--alpha", "0.3",
+        "--alpha2", "0.1", "--p", "2", "--nmax", "3", "--out", str(out_path),
+    )
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == TENSOR_HEADER and len(lines) == 5
+    ctx = TensorContext(StateSpec(0.3, 3), StateSpec(0.1, 2))
+    for line, n in zip(lines[1:], range(4)):
+        assert line.split(",")[-1] == fmt(schauder.exact_norm_p2(tensor_partial_sum_handle(n, ctx), ctx).value)
+    target = (4 * 0.3 * 0.7) ** -1.5 * (4 * 0.1 * 0.9) ** -1.0
+    assert abs(float(lines[1].split(",")[-1]) - target) <= 1e-13 * target
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ("--level 5 --level2 4 --nmax 0", ("--level + --level2",)),  # joint level 9 > 8
+        ("--level 4 --level2 4 --nmax 1000", ("--level + --level2", "--nmax", "MiB limit")),
+    ],
+)
+def test_tensor_sweep_p2_refuses_joint_level_or_rows_above_their_limits(tmp_path, capsys, monkeypatch, argv, flags):
+    monkeypatch.setattr(cli, "exact_norm_p2", _refuse_work)
+    out_path = tmp_path / "ts.csv"
+    code, out, err = run(
+        capsys, "tensor-sweep", *argv.split(), "--alpha", "0.3", "--alpha2", "0.1", "--p", "2",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert all(flag in err for flag in flags), err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rows, rows_bytes",
+    [
+        ("basis-constants --level 3 --alpha 0.3 --p 2 --method exact2 --nmax 15", 16, 16 * 4**3 * 16),
+        ("basis-constants --level 4 --alpha 0.1 --p 2 --method exact2 --side right --nmax 2", 4, 4 * 4**4 * 16),
+        ("tensor-sweep --level 1 --level2 2 --alpha 0.3 --alpha2 0.1 --p 2 --nmax 15", 16, 16 * 4**3 * 16),
+        ("classical --level 8 --alpha 0.3 --p 2 --nmax 15", 16, 16 * 2**8 * 8),
+    ],
+    ids=["bc3", "bc4", "ts", "cl"],
+)
+def test_exact2_manifest_records_engine_rows_and_bytes(tmp_path, capsys, monkeypatch, argv, rows, rows_bytes):
+    # The benchmark's p2-exact commands.  r is the largest of the sweep (basis-constants:
+    # the decomposition operator of the top bit of --nmax; 16-byte complex rows of 4**m,
+    # classical: real rows of 2**level); the record leaves the CSV bytes alone.
+    out_path, bare_path = tmp_path / "out.csv", tmp_path / "bare.csv"
+    assert run(capsys, *argv.split(), "--out", str(out_path))[0] == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["exact2"] == {"engine": "adjoint-rows", "rows": rows, "rows_bytes": rows_bytes}
+    monkeypatch.setattr(cli, "_exact2_record", lambda rows, rows_bytes: {})
+    assert run(capsys, *argv.split(), "--out", str(bare_path))[0] == 0
+    assert "exact2" not in json.loads((tmp_path / "bare.csv.manifest.json").read_text())
+    assert out_path.read_bytes() == bare_path.read_bytes()
+    if argv.startswith("basis-constants"):
+        m, nmax = int(argv.split()[2]), int(argv.split()[-1])
+        spec = StateSpec(float(argv.split()[4]), m)
+        handles = [h for n in range(nmax + 1) for h in (schauder.partial_sum_handle(n, m), schauder.decomposition_handle(n, spec))]
+        assert max(h.rows for h in handles) == rows
 
 
 def test_verify_walsh_refuses_oversized_walsh_stack(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     FILTRATION_MASK_TOL,
+    biased_digits,
     dense_exact_norm_p2,
     mask_product_matrix,
     matrix_unit_stack,
@@ -20,7 +21,7 @@ from helpers import (
 )
 from walshlab import schauder
 from walshlab.classical import classical_norm_estimate, diag_index_map
-from walshlab.linalg import gaussian_matrix, task_gaussian_stack, task_rng
+from walshlab.linalg import factor_products, gaussian_matrix, task_gaussian_stack, task_rng
 from walshlab.states import (
     LpContext,
     StateSpec,
@@ -381,33 +382,51 @@ def test_p2_basis_constant_closed_form(alpha):
         assert abs(sup - target) <= 1e-14 * target, (m, sup, target)
 
 
-def _biased_digits(n: int, m: int, mode: str) -> int:
-    """k(n): the factors i whose bit 2i is biased while bits 0..2i of n are not all 1.
-
-    Every bit 2i is biased in paper mode; in meanzero mode only when bit 2i + 1 is set.
-    """
-    count = 0
-    for i in range(m):
-        low = (1 << (2 * i + 1)) - 1
-        biased = mode == PAPER or (n >> (2 * i + 1)) & 1
-        count += bool(biased) and n & low != low
-    return count
+# Sampled n at m = 4, among them 127 and 255, whose P_n is the identity.
+LEVEL4_SAMPLE = (0, 1, 6, 42, 100, 127, 128, 200, 254, 255)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1e-4])
 def test_p2_partial_sum_norms_follow_the_digit_rule(alpha):
     # ||P_n||_2 = kappa**k(n) with kappa = (4 alpha (1 - alpha))**(-1/2): every n at
-    # m <= 3, a sample at m = 4 holding n = 127 and 255, whose P_n is the identity.
+    # m <= 3, a sample at m = 4 holding n = 127 and 255, whose P_n is the identity,
+    # and n <= 15 at m = 5..8, where exact2 runs on no matrix.
     kappa = (4 * alpha * (1 - alpha)) ** -0.5
     cells = [(m, n) for m in (1, 2, 3) for n in range(4**m)]
-    cells += [(4, n) for n in (0, 1, 6, 42, 100, 127, 128, 200, 254, 255)]
+    cells += [(4, n) for n in LEVEL4_SAMPLE]
+    cells += [(m, n) for m in (5, 6, 7, 8) for n in range(16)]
     for m, n in cells:
         spec = StateSpec(alpha, m)
         for mode in (PAPER, MEANZERO):
-            target = kappa ** _biased_digits(n, m, mode)
+            target = kappa ** biased_digits(n, m, mode)
             for side in ("left", "right"):
                 value = exact_norm_p2(partial_sum_handle(n, m, alpha, mode), spec, side).value
                 assert abs(value - target) <= 1e-13 * target, (m, n, mode, side, value, target)
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_exact_norm_p2_matches_dense_oracle_at_level_4(alpha):
+    # The sampled n at m = 4, P_n in both modes and the decomposition operators, on both sides.
+    spec = StateSpec(alpha, 4)
+    for n in LEVEL4_SAMPLE:
+        for handle in (
+            partial_sum_handle(n, 4, alpha, PAPER), partial_sum_handle(n, 4, alpha, MEANZERO), decomposition_handle(n, spec)
+        ):
+            for side in ("left", "right"):
+                value = exact_norm_p2(handle, spec, side).value
+                oracle = dense_exact_norm_p2(handle, spec, side)
+                assert abs(value - oracle) <= 1e-13 * oracle, (n, handle.label, handle.mode, side, value, oracle)
+
+
+def test_exact_norm_p2_refuses_rows_above_the_byte_limit():
+    # r compressed rows of 4**m complex entries: P_63 at m = 8 takes 64 MiB, P_64 65 MiB.
+    spec = StateSpec(0.3, 8)
+    assert schauder.exact2_rows_bytes(8, 64) == schauder.MAX_EXACT2_ROWS_BYTES
+    with pytest.raises(ValueError, match="exact2 at level 8 takes 65 compressed rows of 65536 entries"):
+        exact_norm_p2(partial_sum_handle(64, 8, 0.3), spec)
+    with pytest.raises(ValueError, match="128 compressed rows .* lower the level or n_max"):
+        basis_constant_sweep(LpContext(2.0, spec), 64)  # the decomposition operator of 64 takes 128 rows
+    assert [schauder.basis_sweep_rows(n) for n in (0, 1, 31, 32, 64)] == [1, 2, 32, 64, 128]
 
 
 def test_exact_norm_rejects_degenerate_weights():
@@ -816,6 +835,38 @@ def test_library_handles_materialize_without_calling_their_map(alpha, monkeypatc
                 patch.setattr(schauder, "keep_coefficients", refuse)
                 mat = handle.matrix()
             assert np.max(np.abs(mat - probe_matrix(handle))) <= 1e-15, (m, label)
+
+
+def _adjoint_handles(m, alpha):
+    """Every P_n in both modes, every decomposition operator, every Q_n on 1 + (m - 1)
+    factors, and an explicit handle, at level m."""
+    spec = StateSpec(alpha, m)
+    for n in range(4**m):
+        yield f"P[{n}] paper", partial_sum_handle(n, m, alpha)
+        yield f"P[{n}] meanzero", partial_sum_handle(n, m, alpha, MEANZERO)
+        yield f"decomposition[{n}]", decomposition_handle(n, spec)
+    if m > 1:
+        ctx = TensorContext(StateSpec(alpha, 1), StateSpec(0.1, m - 1))
+        for n in range(max_shell_index(ctx) + 1):
+            yield f"Q[{n}]", tensor_partial_sum_handle(n, ctx)
+    yield "explicit", OperatorHandle.from_matrix(gaussian_matrix(4**m, task_rng(33, m)) / 2**m)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
+def test_handle_adjoint_matches_conjugate_transpose(alpha):
+    # T* on a seeded stack, and on product matrices given by their factor parts
+    # (the exact2 engine's path), equals T.matrix().conj().T applied to them.
+    for m in (1, 2, 3):
+        x = task_gaussian_stack(1 << m, 34, 3)
+        rng = task_rng(35, m)
+        parts = [rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)) for _ in range(m)]
+        products = factor_products(parts)
+        for label, handle in _adjoint_handles(m, alpha):
+            adjoint = handle.matrix().conj().T
+            for stack, image in ((x, handle.adjoint(x)), (products, handle.adjoint_products(parts))):
+                expected = (stack.reshape(3, -1) @ adjoint.T).reshape(stack.shape)
+                assert np.max(np.abs(image - expected)) <= 1e-15 * np.abs(stack).max(), (m, label)
+            assert np.max(np.abs(handle.adjoint(x[0]) - handle.adjoint(x)[0])) <= 1e-15 * np.abs(x).max(), (m, label)
 
 
 def test_malformed_handle_is_refused_when_built():

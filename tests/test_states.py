@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import FILTRATION_MASK_TOL, dense_top_value, random_matrix
-from walshlab.linalg import compressed_top_value, gns_inner, schatten_norm
+from walshlab.linalg import factor_products, gns_inner, schatten_norm, top_singular_value
 from walshlab.states import (
     LpContext,
     StateSpec,
@@ -14,7 +14,7 @@ from walshlab.states import (
     mart_diff,
     modular_flow,
     orthonormal_kernel,
-    orthonormal_stack,
+    orthonormal_parts,
     rho_value,
     state_density,
     state_diagonal,
@@ -384,9 +384,10 @@ BASIS_STATES = (
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_orthonormal_stack_is_orthonormal_and_spans_walsh_prefixes(side):
+    # The stack is the product matrices of the orthonormal parts.
     for spec in BASIS_STATES:
         n = 4**spec.m
-        basis = orthonormal_stack(spec, n, side)
+        basis = factor_products(orthonormal_parts(spec, n, side))
         assert basis.shape == (n, spec.dim, spec.dim)
         gram = _weighted_gram(basis, spec, side)
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12, (spec, side)
@@ -394,22 +395,23 @@ def test_orthonormal_stack_is_orthonormal_and_spans_walsh_prefixes(side):
         coeffs = walsh_coefficients(basis)
         assert np.all(np.triu(coeffs, 1) == 0), (spec, side)
         assert np.all(np.abs(np.diagonal(coeffs)) > 0), (spec, side)
-        assert np.array_equal(orthonormal_stack(spec, 3, side), basis[:3])
+        assert np.array_equal(factor_products(orthonormal_parts(spec, 3, side)), basis[:3])
         with pytest.raises(ValueError):
-            orthonormal_stack(spec, n + 1, side)
+            orthonormal_parts(spec, n + 1, side)
 
 
-def test_compressed_top_value_matches_dense_similarity():
-    # A map whose range is a known subspace, compressed to an orthonormal basis of it.
+def test_top_singular_value_of_compressed_rows_matches_dense_similarity():
+    # A map whose range is a known subspace, compressed to an orthonormal basis of it:
+    # the r rows (root X)* S of the similarity S = diag(root) mat diag(root)^-1.
     rng = np.random.default_rng(4)
     n, r = 32, 5
     root = np.sqrt(rng.uniform(1e-4, 1.0, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
     basis = (q / root[:, np.newaxis]).T  # rows orthonormal for sum root**2 conj(x) y
     mat = basis.T @ (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n)))
-    value = compressed_top_value(mat, root, basis)
+    value = top_singular_value(((basis.conj() * (root * root)) @ mat) / root)
     assert abs(value - dense_top_value(mat, root)) <= 1e-13 * value
-    assert compressed_top_value(np.zeros((n, n)), root, basis) == 0.0
+    assert top_singular_value(np.zeros((r, n))) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1, 1e-4])
